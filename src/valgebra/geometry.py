@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import hull as _hull
 from . import lp as _lp
-from .intlinalg import matrix_rank
+from .intlinalg import independent_rows
 
 Scalar = Fraction
 Point = tuple[Fraction, ...]
@@ -132,41 +132,12 @@ def _dedupe(points: list[Point]) -> list[Point]:
     return list(dict.fromkeys(points))
 
 
-def _affine_rank(points: list[Point]) -> int:
-    if len(points) <= 1:
-        return 0
+def _affine_basis(points: list[Point]) -> tuple[list[int], list[int]]:
+    """Indices of points[1:] whose differences to points[0] span the affine
+    hull, greedily in order, and the pivot coordinates on which the affine
+    hull projects injectively."""
     base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return matrix_rank(rows)
-
-
-def _pivot_columns(points: list[Point]) -> list[int]:
-    """Coordinate subset on which the affine span projects injectively."""
-    base = points[0]
-    rows = [[Fraction(c - b) for c, b in zip(p, base)] for p in points[1:]]
-    ncols = len(base)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(row, len(rows)):
-            if rows[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[row], rows[pr] = rows[pr], rows[row]
-        piv = rows[row][col]
-        for r in range(row + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / piv
-                for c in range(col, ncols):
-                    rows[r][c] -= f * rows[row][c]
-        pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    return pivots
+    return independent_rows((point_sub(p, base) for p in points[1:]), len(base))
 
 
 def _extreme_full_dim(points: list[Point], n: int) -> list[Point]:
@@ -178,33 +149,7 @@ def _extreme_full_dim(points: list[Point], n: int) -> list[Point]:
     data = _hull.hull_data(points, n)
     if data is None:  # caller guaranteed full-dim
         raise ArithmeticError("unexpected degenerate set")
-    idxs = data.boundary_vertex_indices()
-    cands = [tuple(Fraction(c, data.scale) for c in data.points[i]) for i in idxs]
-    # Cheap certificates first: a unique maximizer of some facet normal is
-    # extreme.  Leftovers get the exact LP test.
-    certified = set()
-    scaled = [data.points[i] for i in idxs]
-    for nu in data.normals:
-        best = None
-        best_i = -1
-        tie = False
-        for k, p in enumerate(scaled):
-            v = sum(a * b for a, b in zip(nu, p))
-            if best is None or v > best:
-                best, best_i, tie = v, k, False
-            elif v == best:
-                tie = True
-        if not tie:
-            certified.add(best_i)
-    out = []
-    for k, p in enumerate(cands):
-        if k in certified:
-            out.append(p)
-        else:
-            others = cands[:k] + cands[k + 1 :]
-            if not _lp.point_in_hull(p, others):
-                out.append(p)
-    return out
+    return [tuple(Fraction(c, data.scale) for c in data.points[i]) for i in data.vertex_indices()]
 
 
 def hull(points, dim: int | None = None) -> Polytope:
@@ -219,19 +164,14 @@ def hull(points, dim: int | None = None) -> Polytope:
     pts = _dedupe(pts)
     if len(pts) == 1:
         return Polytope._trusted(n, pts)
-    r = _affine_rank(pts)
-    if r == 0:
-        return Polytope._trusted(n, pts[:1])
+    _, cols = _affine_basis(pts)
+    r = len(cols)
     if r == n:
         return Polytope._trusted(n, _extreme_full_dim(pts, n))
     # Degenerate: project to pivot coordinates, solve there, map back.
-    cols = _pivot_columns(pts)
     proj = [tuple(p[c] for c in cols) for p in pts]
-    back = {}
-    for p, q in zip(pts, proj):
-        back.setdefault(q, p)
-    extreme_proj = _extreme_full_dim(_dedupe(proj), r) if r >= 1 else proj[:1]
-    return Polytope._trusted(n, [back[q] for q in extreme_proj])
+    back = dict(zip(proj, pts))
+    return Polytope._trusted(n, [back[q] for q in _extreme_full_dim(proj, r)])
 
 
 @lru_cache(maxsize=512)
@@ -283,7 +223,7 @@ def support(P: Polytope, y) -> Fraction:
 
 
 def affine_dim(P: Polytope) -> int:
-    return _affine_rank(list(P.vertices))
+    return len(_affine_basis(list(P.vertices))[1])
 
 
 def volume(P: Polytope) -> Fraction:
@@ -292,11 +232,6 @@ def volume(P: Polytope) -> Fraction:
     if data is None:
         return Fraction(0)
     return data.volume()
-
-
-def volume_of_points(points, n: int) -> Fraction:
-    """Volume of the hull of raw points without canonicalizing them."""
-    return _hull.volume_of_points([as_point(p) for p in points], n)
 
 
 def facet_inequalities(P: Polytope) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -310,13 +245,9 @@ def facet_inequalities(P: Polytope) -> list[tuple[tuple[int, ...], Fraction]]:
 def contains_point(P: Polytope, x) -> bool:
     x = as_point(x)
     data = _hull_data_of(P)
-    if data is not None:
-        for nu, c in zip(data.normals, data.offsets):
-            s = sum(a * (b * data.scale) for a, b in zip(nu, x))
-            if s > c:
-                return False
-        return True
-    return _lp.point_in_hull(x, list(P.vertices))
+    if data is None:
+        return _lp.point_in_hull(x, list(P.vertices))
+    return data.contains(x)
 
 
 def contains(P: Polytope, Q: Polytope) -> bool:
@@ -335,16 +266,19 @@ def triangulation(P: Polytope) -> list[tuple[Point, ...]]:
     return out
 
 
-def _proj_to_affine_hull(p: Point, verts: list[Point]) -> tuple[Point, Fraction]:
-    """Orthogonal projection of p onto aff(verts) and its squared distance."""
+def _proj_to_affine_hull(p: Point, verts: list[Point]) -> tuple[Point, Fraction, bool] | None:
+    """Orthogonal projection of p onto aff(verts), its squared distance, and
+    whether it lies in conv(verts); None when verts are affinely dependent."""
     base = verts[0]
     dirs = [point_sub(v, base) for v in verts[1:]]
-    # Solve the normal equations G t = b over Fractions.
+    # Solve the normal equations G t = b over Fractions; the Gram matrix G is
+    # positive definite iff the dirs are independent.
     k = len(dirs)
     g = [[point_dot(dirs[i], dirs[j]) for j in range(k)] + [point_dot(dirs[i], point_sub(p, base))] for i in range(k)]
-    # Gaussian elimination; G is positive definite for independent dirs.
     for col in range(k):
-        piv = next(r for r in range(col, k) if g[r][col] != 0)
+        piv = next((r for r in range(col, k) if g[r][col] != 0), None)
+        if piv is None:
+            return None
         g[col], g[piv] = g[piv], g[col]
         pv = g[col][col]
         for r in range(k):
@@ -357,12 +291,10 @@ def _proj_to_affine_hull(p: Point, verts: list[Point]) -> tuple[Point, Fraction]
     for t, d in zip(ts, dirs):
         proj = point_add(proj, point_scale(d, t))
     diff = point_sub(p, proj)
-    return proj, point_dot(diff, diff)
-
-
-def _barycentric_in_hull(x: Point, verts: list[Point]) -> bool:
-    """x in conv(verts) for affinely independent verts (exact)."""
-    return _lp.point_in_hull(x, verts)
+    # ts are the barycentric coordinates of proj on verts[1:]; 1 - sum(ts) is
+    # its coordinate on verts[0].
+    inside = all(t >= 0 for t in ts) and sum(ts) <= 1
+    return proj, point_dot(diff, diff), inside
 
 
 def point_polytope_sqdist(p, P: Polytope) -> Fraction:
@@ -371,13 +303,13 @@ def point_polytope_sqdist(p, P: Polytope) -> Fraction:
     if contains_point(P, p):
         return Fraction(0)
     verts = list(P.vertices)
-    r = affine_dim(P)
+    kept, _ = _affine_basis(verts)
+    r = len(kept)
     best = None
     # Projection onto the whole affine hull (covers flat bodies).
-    if r >= 1:
-        basis = _affinely_independent_subset(verts, r + 1)
-        proj, d2 = _proj_to_affine_hull(p, basis)
-        if _lp.point_in_hull(proj, verts):
+    if 1 <= r < P.dim:
+        proj, d2, _ = _proj_to_affine_hull(p, [verts[0]] + [verts[i + 1] for i in kept])
+        if contains_point(P, proj):
             best = d2
     if P.dim == 2 and r == 2:
         ring = _hull.hull2d_extreme(verts)
@@ -387,28 +319,12 @@ def point_polytope_sqdist(p, P: Polytope) -> Fraction:
     else:
         faces = _candidate_faces(verts, r)
     for face in faces:
-        if len(face) == 1:
-            diff = point_sub(p, face[0])
-            d2 = point_dot(diff, diff)
-        else:
-            if _affine_rank(face) != len(face) - 1:
-                continue
-            proj, d2 = _proj_to_affine_hull(p, face)
-            if not _barycentric_in_hull(proj, face):
-                continue
-        if best is None or d2 < best:
-            best = d2
+        got = _proj_to_affine_hull(p, face)
+        if got is None or not got[2]:
+            continue
+        if best is None or got[1] < best:
+            best = got[1]
     return best
-
-
-def _affinely_independent_subset(verts: list[Point], count: int) -> list[Point]:
-    out = [verts[0]]
-    for v in verts[1:]:
-        if len(out) == count:
-            break
-        if _affine_rank(out + [v]) == len(out):
-            out.append(v)
-    return out
 
 
 def _candidate_faces(verts: list[Point], r: int) -> list[list[Point]]:

@@ -15,34 +15,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, isfinite
+from math import factorial, gcd, isfinite, lcm
 
 import numpy as np
 
-from .intlinalg import hyperplane_through, simplex_det
+from .intlinalg import hyperplane_through, independent_rows, simplex_det
 
 _ULP = 2.0 ** -53
 
 
 def scale_to_ints(points) -> tuple[list[tuple[int, ...]], int]:
     """Clear denominators with one common scale for the whole point set."""
-    lcm = 1
+    den = 1
     for p in points:
         for c in p:
-            d = c.denominator if isinstance(c, Fraction) else 1
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
+            if isinstance(c, Fraction) and c.denominator != 1:
+                den = lcm(den, c.denominator)
     out = []
     for p in points:
-        out.append(tuple(int(c * lcm) for c in p))
-    return out, lcm
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        out.append(tuple(int(c * den) for c in p))
+    return out, den
 
 
 @dataclass
@@ -63,6 +55,26 @@ class HullData:
         for verts in self.facet_vertices:
             seen.update(verts)
         return sorted(seen)
+
+    def vertex_indices(self) -> list[int]:
+        """Boundary points that are vertices of the hull.
+
+        A boundary point is a vertex iff the normals of the facets through it
+        have full rank; a point inside an edge or a facet of the polytope
+        only meets facets whose normals span fewer dimensions.
+        """
+        incident: dict[int, set[tuple[int, ...]]] = {}
+        for verts, nu in zip(self.facet_vertices, self.normals):
+            for i in verts:
+                incident.setdefault(i, set()).add(nu)
+        n = self.dim
+        return sorted(
+            i for i, normals in incident.items() if len(normals) >= n and len(independent_rows(normals, n)[0]) == n
+        )
+
+    def contains(self, x) -> bool:
+        """True iff the point x, in unscaled coordinates, lies in the hull."""
+        return all(sum(a * b for a, b in zip(nu, x)) * self.scale <= c for nu, c in zip(self.normals, self.offsets))
 
     def fan_triangulation(self) -> list[tuple[int, ...]]:
         """Simplices coning the lexicographically smallest boundary vertex."""
@@ -87,26 +99,6 @@ class HullData:
     def volume(self) -> Fraction:
         n = self.dim
         return Fraction(self.det_sum(), factorial(n) * self.scale ** n)
-
-def _affine_basis(pts: list[tuple[int, ...]], n: int) -> list[int]:
-    """Greedy indices of affinely independent points, at most n+1 of them."""
-    chosen = [0]
-    rows: list[list[Fraction]] = []
-    for i in range(1, len(pts)):
-        if len(chosen) == n + 1:
-            break
-        diff = [Fraction(pts[i][j] - pts[chosen[0]][j]) for j in range(n)]
-        # Reduce against current echelon rows.
-        for row in rows:
-            piv = next(k for k, x in enumerate(row) if x != 0)
-            if diff[piv] != 0:
-                f = diff[piv] / row[piv]
-                diff = [a - f * b for a, b in zip(diff, row)]
-        if any(x != 0 for x in diff):
-            rows.append(diff)
-            chosen.append(i)
-    return chosen
-
 
 class _Incremental:
     def __init__(self, pts: list[tuple[int, ...]], n: int):
@@ -230,9 +222,11 @@ class _Incremental:
 
     def run(self) -> HullData | None:
         n = self.n
-        base = _affine_basis(self.pts, n)
-        if len(base) < n + 1:
+        p0 = self.pts[0]
+        kept, _ = independent_rows((tuple(a - b for a, b in zip(p, p0)) for p in self.pts[1:]), n)
+        if len(kept) < n:
             return None
+        base = [0] + [i + 1 for i in kept]
         self.ref = tuple(sum(self.pts[i][j] for i in base) for j in range(n))
         for k in range(n + 1):
             verts = tuple(sorted(base[:k] + base[k + 1 :]))
@@ -396,10 +390,10 @@ def hull_data_int(pts: list[tuple[int, ...]], n: int) -> HullData | None:
 
 def hull_data(points, n: int) -> HullData | None:
     """Like hull_data_int but for Fraction coordinates (clears denominators)."""
-    pts_int, lcm = scale_to_ints(points)
+    pts_int, den = scale_to_ints(points)
     data = hull_data_int(pts_int, n)
     if data is not None:
-        data.scale = lcm
+        data.scale = den
     return data
 
 

@@ -38,33 +38,34 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix with Fraction (or int) entries via Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col] != 0:
-                factor = m[r][col] / pivot
-                for c in range(col, ncols):
-                    m[r][c] -= factor * m[row][c]
-        row += 1
-        rank += 1
-        if row == nrows:
+def independent_rows(rows, limit: int | None = None) -> tuple[list[int], list[int]]:
+    """Greedy exact row echelon: the rows independent of the rows before them.
+
+    Rows (int or Fraction entries, any iterable) are reduced one at a time
+    against the rows kept so far, and the scan stops once `limit` rows are
+    kept, so a long iterable is only read as far as needed.  Returns the
+    indices of the kept rows and their pivot columns.  The kept rows
+    restricted to the pivot columns form a nonsingular triangular matrix, so
+    projecting the row span onto the pivot columns is injective.
+    """
+    kept: list[list[Fraction]] = []
+    pivots: list[int] = []
+    chosen: list[int] = []
+    for i, row in enumerate(rows):
+        if len(chosen) == limit:
             break
-    return rank
+        r = [Fraction(x) for x in row]
+        for p, k in zip(pivots, kept):
+            if r[p]:
+                f = r[p]
+                r = [a - f * b for a, b in zip(r, k)]
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is not None:
+            piv = r[p]
+            kept.append([x / piv for x in r])
+            pivots.append(p)
+            chosen.append(i)
+    return chosen, pivots
 
 
 def hyperplane_through(points: list[tuple[int, ...]], idxs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .geometry import Polytope, ball_approx, unit_segment_ball
+from .geometry import Polytope
 from .intervals import Interval
-from .mixed import unit_ball_volume
+from .mixed import _ball_pair, unit_ball_volume
 from .samples import random_polytope, standard_simplex, unit_cube
 from .valuations import (
     EulerGenerator,
@@ -44,13 +44,6 @@ class IntrinsicBasis:
         lo_v, hi_v = self.entries[i]
         raw = Interval(evaluate(lo_v, K), evaluate(hi_v, K))
         return raw / self.kappas[i]
-
-
-def _ball_pair(n: int, level: int) -> tuple[Polytope, Polytope]:
-    if n == 1:
-        b = unit_segment_ball()
-        return b, b
-    return ball_approx(n, level, "inscribed"), ball_approx(n, level, "circumscribed")
 
 
 def intrinsic_basis(n: int, level: int) -> IntrinsicBasis:

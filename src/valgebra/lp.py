@@ -1,85 +1,28 @@
-"""Exact rational linear feasibility tests.
+"""Exact membership of a point in the convex hull of a finite point set.
 
-A single primitive is needed by the geometry kernel: deciding whether a point
-lies in the convex hull of a finite point set.  This is phase one of the
-simplex method run on Fractions with Bland's rule, so it terminates and is
-exact.
+The points are projected to the pivot coordinates of their affine hull, on
+which that hull projects injectively.  A query off the affine hull is
+outside; any other query is checked against the facets of the projected,
+full-dimensional hull.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .hull import hull_data
+from .intlinalg import independent_rows
 
 
 def point_in_hull(point: tuple, points: list[tuple]) -> bool:
     """True iff `point` is a convex combination of `points` (exact)."""
-    m = len(points)
-    if m == 0:
+    if not points:
         return False
-    n = len(point)
-    # Constraints: sum_i lam_i * q_i = p (n rows) and sum_i lam_i = 1.
-    rows = []
-    for j in range(n):
-        rows.append([Fraction(points[i][j]) for i in range(m)] + [Fraction(point[j])])
-    rows.append([Fraction(1)] * m + [Fraction(1)])
-    k = n + 1
-    # Make right-hand sides nonnegative.
-    for row in rows:
-        if row[-1] < 0:
-            for c in range(m + 1):
-                row[c] = -row[c]
-    # Tableau with k artificial columns appended; artificials start basic.
-    tab = []
-    for r, row in enumerate(rows):
-        art = [Fraction(0)] * k
-        art[r] = Fraction(1)
-        tab.append(row[:m] + art + [row[-1]])
-    ncols = m + k
-    basis = list(range(m, m + k))
-    # Objective: minimize sum of artificials == maximize -(sum); reduced costs
-    # computed against the artificial cost vector (1 on artificial columns).
-    obj = [Fraction(0)] * (ncols + 1)
-    for r in range(k):
-        for c in range(ncols + 1):
-            obj[c] += tab[r][c]
-    while True:
-        enter = -1
-        for c in range(ncols):
-            if c < m or basis.count(c) == 0:
-                if obj[c] > 0 and c not in basis:
-                    enter = c
-                    break
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for r in range(k):
-            if tab[r][enter] > 0:
-                ratio = tab[r][ncols] / tab[r][enter]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        if leave < 0:
-            # Unbounded cannot happen for this bounded feasibility system.
-            break
-        pivot = tab[leave][enter]
-        tab[leave] = [x / pivot for x in tab[leave]]
-        for r in range(k):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
-        basis[leave] = enter
-    return obj[ncols] == 0
-
-
-def extreme_points(points: list[tuple]) -> list[tuple]:
-    """Subset of `points` that are extreme in their convex hull (exact LPs)."""
-    out = []
-    for i, p in enumerate(points):
-        others = points[:i] + points[i + 1 :]
-        if not others or not point_in_hull(p, others):
-            out.append(p)
-    return out
+    base = points[0]
+    diffs = [tuple(c - b for c, b in zip(p, base)) for p in points[1:]]
+    diffs.append(tuple(c - b for c, b in zip(point, base)))
+    kept, cols = independent_rows(diffs)
+    if kept and kept[-1] == len(diffs) - 1:
+        return False  # the query leaves the affine hull
+    if not cols:
+        return True  # every point, the query included, equals base
+    data = hull_data([tuple(p[c] for c in cols) for p in points], len(cols))
+    return data.contains(tuple(point[c] for c in cols))

@@ -21,8 +21,8 @@ from .geometry import (
     point_scale,
     unit_segment_ball,
     volume,
-    volume_of_points,
 )
+from .hull import volume_of_points
 from .intervals import Interval
 from .interp import tensor_interpolate
 from .polynomials import Polynomial, integrate_points

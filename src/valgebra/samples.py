@@ -52,6 +52,8 @@ def asymmetric_triangle(which: int = 0) -> Polytope:
 
 def random_polytope(n: int, rng: random.Random, n_points: int = 6, denom: int = 4, spread: int = 3) -> Polytope:
     """Random full-dimensional rational polytope (redraws until full-dim)."""
+    if n_points < n + 1:
+        raise ValueError(f"a full-dimensional polytope in dimension {n} needs at least {n + 1} points")
     while True:
         pts = []
         for _ in range(n_points):

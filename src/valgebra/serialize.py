@@ -88,8 +88,12 @@ def polynomial_from_json(obj) -> Polynomial:
     nv = obj["vars"]
     if not isinstance(nv, int) or nv < 0:
         raise ValueError("polynomial 'vars' must be a nonnegative integer")
+    if not isinstance(obj["terms"], list):
+        raise ValueError("polynomial 'terms' must be a list")
     terms = {}
     for t in obj["terms"]:
+        if not isinstance(t, dict):
+            raise ValueError(f"polynomial term {t!r} is not an object")
         exp = t.get("exp")
         if not isinstance(exp, list) or len(exp) != nv or any(not isinstance(e, int) or e < 0 for e in exp):
             raise ValueError(f"bad exponent list {exp!r}")

@@ -604,19 +604,13 @@ class PairingMatrix:
     entries: tuple[tuple[Fraction, ...], ...]  # c[p][q] with phi_p psi_q = c vol
 
     def rank(self) -> int:
-        from .intlinalg import matrix_rank
+        from .intlinalg import independent_rows
 
-        return matrix_rank([list(row) for row in self.entries])
+        return len(independent_rows(self.entries)[0])
 
 
 def pairing_matrix(left, right) -> PairingMatrix:
-    """Closed-form pairing of complementary-degree mixed-volume generators.
-
-    Entries may be computed by a thread pool (VALGEBRA_THREADS); results are
-    collected in index order and are bit-identical to sequential evaluation.
-    """
-    from ._parallel import map_deterministic
-
+    """Closed-form pairing of complementary-degree mixed-volume generators."""
     left, right = list(left), list(right)
     if not left or not right:
         raise ValueError("pairing needs nonempty generator lists")
@@ -628,13 +622,7 @@ def pairing_matrix(left, right) -> PairingMatrix:
     for h in right:
         if h.dim != n or h.degree != n - i:
             raise ValueError("right generators must have the complementary degree")
-    flat = map_deterministic(
-        lambda pair: closed_form_product(pair[0], pair[1]).coeff,
-        [(g, h) for g in left for h in right],
-    )
-    entries = tuple(
-        tuple(flat[r * len(right) : (r + 1) * len(right)]) for r in range(len(left))
-    )
+    entries = tuple(tuple(closed_form_product(g, h).coeff for h in right) for g in left)
     return PairingMatrix(n, i, entries)
 
 

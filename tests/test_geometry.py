@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from valgebra.geometry import (
     Polytope,
+    _octa_mesh,
     affine_dim,
     ball_approx,
     cartesian_product,
@@ -23,7 +24,8 @@ from valgebra.geometry import (
     translate,
     volume,
 )
-from valgebra.samples import box, segment, standard_simplex, unit_cube
+from valgebra.lp import point_in_hull
+from valgebra.samples import box, random_polytope, segment, standard_simplex, unit_cube
 
 from conftest import rational_points
 
@@ -96,6 +98,18 @@ class TestHull:
             hull([], 2)
         with pytest.raises(ValueError):
             hull([(0, 0), (1,)], 2)
+
+    def test_sphere_mesh_vertex_is_outside_the_others(self):
+        m = _octa_mesh(2)
+        assert not point_in_hull(m[6], m[:6] + m[7:])
+        assert point_in_hull(tuple(F(0) for _ in range(3)), m[:6])
+        assert not point_in_hull((F(0), F(0), F(1)), [(F(0), F(0), F(0)), (F(1), F(0), F(0))])
+        assert point_in_hull((F(1, 2), F(0), F(0)), [(F(0), F(0), F(0)), (F(1), F(0), F(0))])
+
+    def test_random_polytope_needs_enough_points(self):
+        with pytest.raises(ValueError):
+            random_polytope(3, random.Random(0), n_points=3)
+        assert affine_dim(random_polytope(3, random.Random(0), n_points=4)) == 3
 
 
 class TestMinkowskiSum:
@@ -231,6 +245,30 @@ class TestAffineDim:
 
 
 class TestHausdorff:
+    # A triangle tilted in the plane x + y = 2z of R^3, whose normal is (1, 1, -2).
+    TILTED = [(0, 0, 0), (2, 0, 1), (0, 2, 1)]
+
+    def test_flat_triangle_in_space(self):
+        T = hull([tuple(map(F, p)) for p in self.TILTED], 3)
+        assert len(T.vertices) == 3 and affine_dim(T) == 2
+        cases = [
+            ((F(1, 2), F(1, 2), F(1, 2)), True, 0),  # in the plane, inside
+            ((F(2), F(0), F(1)), True, 0),  # a vertex
+            ((F(2), F(2), F(2)), False, 3),  # in the plane, nearest (1, 1, 1)
+            ((F(1), F(1), F(-1, 2)), False, F(3, 2)),  # off the plane above an inside point
+            ((F(1), F(1), F(3, 4)), False, F(1, 24)),  # just off the plane, nearest (11/12, 11/12, 11/12)
+            ((F(3, 2), F(7, 4), F(1)), False, F(25, 32)),  # off the plane, nearest (7/8, 9/8, 1)
+            ((F(3), F(3), F(0)), False, 9),  # off the plane and outside
+        ]
+        for x, inside, d2 in cases:
+            assert contains_point(T, x) is inside
+            assert point_polytope_sqdist(x, T) == d2
+        Q = hull([tuple(map(F, p)) for p in self.TILTED + [(2, 2, 2)]], 3)
+        assert hausdorff_distance(T, Q) == pytest.approx(math.sqrt(3))
+        apex = hull([tuple(map(F, p)) for p in self.TILTED] + [(F(1), F(1), F(3, 4))], 3)
+        assert hausdorff_distance(T, apex) == pytest.approx(math.sqrt(F(1, 24)))
+        assert hausdorff_distance(T, translate(T, (1, 1, -2))) == pytest.approx(math.sqrt(6))
+
     def test_self_distance_zero(self, rng):
         P = hull(rational_points(rng, 6, 2), 2)
         assert hausdorff_distance(P, P) == 0.0
@@ -302,6 +340,13 @@ class TestBallApprox:
             errs.append(hausdorff_distance(i2, c2))
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] <= 2.0 * 4.0 ** (-3)
+
+    def test_inscribed_sphere_meshes_keep_every_vertex(self):
+        for level, count in ((2, 18), (3, 66)):
+            B = ball_approx(3, level, "inscribed")
+            assert len(B.vertices) == count
+            for v in B.vertices:
+                assert sum(c * c for c in v) <= 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,18 @@ from math import factorial
 
 import pytest
 
+from valgebra.geometry import hull
 from valgebra.hull import hull_data_int, hull2d_extreme, volume_of_points
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 
 F = Fraction
+
+
+def qhull_vertices(pts):
+    """Vertex set of a full-dimensional point set according to Qhull."""
+    qh = scipy_spatial.ConvexHull([list(map(float, p)) for p in pts])
+    return {tuple(pts[i]) for i in qh.vertices}
 
 
 def brute_volume_2d(pts):
@@ -37,6 +44,30 @@ class TestEngineAgainstQhull:
             exact = float(data.volume())
             qh = scipy_spatial.ConvexHull([list(map(float, p)) for p in pts], qhull_options="QJ")
             assert exact == pytest.approx(qh.volume, rel=1e-6, abs=1e-6)
+
+    def test_vertices_on_paraboloid_lifts(self):
+        # Every lifted grid point is a vertex; the grid makes many of them
+        # coplanar with each other in the plane projections.
+        grid3 = [(F(x), F(y), F(x * x + y * y)) for x in range(-2, 3) for y in range(-2, 3)]
+        grid4 = [(F(x), F(y), F(z), F(x * x + y * y + z * z)) for x in range(-1, 2) for y in range(-1, 2) for z in range(-1, 2)]
+        for pts in (grid3, grid4):
+            assert set(hull(pts).vertices) == qhull_vertices(pts) == set(pts)
+        rng = random.Random(7)
+        for _ in range(40):
+            pts = list(dict.fromkeys(rng.sample(grid3, 6)))
+            assert set(hull(pts).vertices) == qhull_vertices(pts) == set(pts)
+
+    @pytest.mark.parametrize("dim, sizes", [(3, (4, 6, 7)), (4, (6, 8))])
+    def test_vertex_sets_of_random_sets(self, dim, sizes):
+        rng = random.Random(20240 + dim)
+        for m in sizes:
+            done = 0
+            while done < 200:
+                pts = list(dict.fromkeys(tuple(F(rng.randint(-12, 12), 4) for _ in range(dim)) for _ in range(m)))
+                if hull_data_int([tuple(int(4 * c) for c in p) for p in pts], dim) is None:
+                    continue  # flat: Qhull needs a full-dimensional set
+                assert set(hull(pts, dim).vertices) == qhull_vertices(pts)
+                done += 1
 
     def test_highly_degenerate_grid(self):
         # Every point of a lattice box: massive coplanarity everywhere.

@@ -149,9 +149,15 @@ class TestCli:
         assert json.loads(proc.stdout)["results"]["value"] == 1
 
     def test_malformed_json_exit_2(self):
-        proc = run_cli(["evaluate", "--input", "{not json"])
-        assert proc.returncode == 2
-        assert "error" in json.loads(proc.stdout)
+        body = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+        bad_terms = [
+            json.dumps({"valuation": {"dim": 2, "terms": [{"kind": "pd", "density": {"vars": 2, "terms": terms}}]}, "body": body})
+            for terms in ([1], "x")
+        ]
+        for payload in ["{not json"] + bad_terms:
+            proc = run_cli(["evaluate", "--input", payload])
+            assert proc.returncode == 2, payload
+            assert "error" in json.loads(proc.stdout)
 
     def test_dimension_mismatch_exit_2(self):
         payload = json.dumps(
