@@ -19,6 +19,7 @@ from .invariants import lefschetz_check, structure_constants, unitary_dimension
 from .mixed import intrinsic_volume_brackets, mixed_volume, steiner_coeffs
 from .serialize import (
     interval_to_json,
+    list_from_json,
     polynomial_to_json,
     polytope_from_json,
     scalar_to_json,
@@ -53,9 +54,12 @@ def _read_input(args) -> dict:
         except OSError as e:
             raise InputError(f"cannot read input file: {e}") from e
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"malformed JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise InputError("the input must be a JSON object")
+    return data
 
 
 def _emit(args, command: str, results, witnesses=None, started=None) -> None:
@@ -74,7 +78,7 @@ def _emit(args, command: str, results, witnesses=None, started=None) -> None:
 
 def _cmd_mixed_volume(args):
     data = _read_input(args)
-    bodies = [polytope_from_json(b) for b in data.get("bodies", [])]
+    bodies = [polytope_from_json(b) for b in list_from_json(data, "bodies")]
     if not bodies:
         raise InputError("field 'bodies' must list the polytopes")
     return {"mixed_volume": scalar_to_json(mixed_volume(bodies))}
@@ -106,7 +110,7 @@ def _cmd_product(args):
 def _cmd_decompose(args):
     data = _read_input(args)
     v = valuation_from_json(data.get("valuation") or _missing("valuation"))
-    bodies = [polytope_from_json(b) for b in data.get("bodies", [])]
+    bodies = [polytope_from_json(b) for b in list_from_json(data, "bodies")]
     if not bodies:
         raise InputError("field 'bodies' must list at least one test body")
     dec = homogeneous_decomposition(v, bodies)
@@ -163,7 +167,7 @@ def _cmd_structure_constants(args):
 
 def _cmd_filtration(args):
     data = _read_input(args)
-    gens = [valuation_from_json(g) for g in data.get("generators", [])]
+    gens = [valuation_from_json(g) for g in list_from_json(data, "generators")]
     if not gens:
         raise InputError("field 'generators' must list at least one valuation")
     n = gens[0].dim
@@ -194,12 +198,14 @@ def _cmd_symbol(args):
     if not isinstance(level, int):
         raise InputError("field 'level' must be an integer")
     n = v.dim
-    k_grid = [polytope_from_json(b) for b in data.get("bodies", [])]
+    k_grid = [polytope_from_json(b) for b in list_from_json(data, "bodies")]
     if not k_grid:
         from .samples import standard_simplex, unit_cube
 
         k_grid = [unit_cube(n), standard_simplex(n)]
-    xs = data.get("points")
+    xs = list_from_json(data, "points")
+    if not all(isinstance(x, list) for x in xs):
+        raise InputError("field 'points' must list coordinate lists")
     if xs:
         x_grid = [tuple(Fraction(str(c)) for c in x) for x in xs]
     else:

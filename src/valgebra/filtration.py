@@ -15,6 +15,7 @@ from math import factorial
 
 from .geometry import Polytope, affine_dim, as_point, scale as scale_body, translate
 from .interp import univariate_coeffs
+from .intlinalg import independent_rows, solve
 from .polynomials import Polynomial
 from .samples import dimension_ladder, stock_bodies
 from .valuations import (
@@ -54,11 +55,7 @@ def scaling_profile(v, K: Polytope, x) -> ScalingProfile:
         vals.append(v.evaluate(body))
     coeffs = univariate_coeffs(vals)
     poly = Polynomial(1, {(k,): c for k, c in enumerate(coeffs)})
-    lowest = None
-    for k in sorted(e[0] for e in poly.terms):
-        lowest = k
-        break
-    return ScalingProfile(poly, lowest)
+    return ScalingProfile(poly, min((e[0] for e in poly.terms), default=None))
 
 
 @dataclass(frozen=True)
@@ -207,57 +204,27 @@ def symbol(v, i: int, k_grid, x_grid, require_membership: bool = True) -> Symbol
             if got != sym.evaluate(K, x):
                 raise ArithmeticError("symbol closed form disagrees with coefficient extraction")
             vals.append(got)
-        if _total_density_degree(v) <= 1 and len(x_grid) >= n + 1:
-            fitted = _affine_fit(x_grid, vals, n)
-            if all(fitted.eval(x) == val for x, val in zip(x_grid, vals)):
-                direct = Polynomial(n)
-                for va, po in sym.pairs:
-                    direct = direct + po.scale(va.evaluate(K))
-                if direct.degree() <= 1 and fitted != direct:
-                    raise ArithmeticError("grid-reconstructed density disagrees with the closed form")
+        fitted = _affine_fit(x_grid, vals, n) if _total_density_degree(v) <= 1 else None
+        if fitted is not None and all(fitted.eval(x) == val for x, val in zip(x_grid, vals)):
+            direct = Polynomial(n)
+            for va, po in sym.pairs:
+                direct = direct + po.scale(va.evaluate(K))
+            if direct.degree() <= 1 and fitted != direct:
+                raise ArithmeticError("grid-reconstructed density disagrees with the closed form")
     return sym
 
 
-def _affine_fit(x_grid, values, n: int) -> Polynomial:
-    """Exact affine polynomial through the sampled values."""
-    rows = []
-    rhs = []
-    for x, val in zip(x_grid, values):
-        rows.append([Fraction(1)] + [Fraction(c) for c in x])
-        rhs.append(Fraction(val))
-    m = len(rows)
-    cols = n + 1
-    # Gaussian elimination with partial structure; underdetermined components zero.
-    aug = [row + [val] for row, val in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, m):
-            if aug[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [a / pv for a in aug[r]]
-        for rr in range(m):
-            if rr != r and aug[rr][c] != 0:
-                f = aug[rr][c]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    sol = [Fraction(0)] * cols
-    for k, c in enumerate(piv_cols):
-        sol[c] = aug[k][cols]
-    terms = {}
-    if sol[0] != 0:
-        terms[tuple(0 for _ in range(n))] = sol[0]
-    for i in range(n):
-        if sol[i + 1] != 0:
-            terms[tuple(1 if j == i else 0 for j in range(n))] = sol[i + 1]
-    return Polynomial(n, terms)
+def _affine_fit(x_grid, values, n: int) -> Polynomial | None:
+    """The affine polynomial through the sampled values, fitted on the first
+    n + 1 points whose rows [1, x] are independent; None when the rows have
+    rank below n + 1, so that no fit is unique."""
+    rows = [(1,) + tuple(x) for x in x_grid]
+    kept, _ = independent_rows(rows, n + 1)
+    if len(kept) <= n:
+        return None
+    sol = solve([rows[k] for k in kept], [values[k] for k in kept])
+    exps = [(0,) * n] + [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return Polynomial(n, dict(zip(exps, sol)))
 
 
 def symbol_homomorphism_check(phi, psi, i: int, j: int, samples) -> dict:

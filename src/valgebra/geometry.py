@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from . import hull as _hull
 from . import lp as _lp
-from .intlinalg import independent_rows
+from .intlinalg import independent_rows, solve
 
 Scalar = Fraction
 Point = tuple[Fraction, ...]
@@ -266,74 +267,59 @@ def triangulation(P: Polytope) -> list[tuple[Point, ...]]:
     return out
 
 
-def _proj_to_affine_hull(p: Point, verts: list[Point]) -> tuple[Point, Fraction, bool] | None:
-    """Orthogonal projection of p onto aff(verts), its squared distance, and
-    whether it lies in conv(verts); None when verts are affinely dependent."""
+def _proj_to_affine_hull(p: Point, verts: list[Point]) -> tuple[Fraction, bool]:
+    """Squared distance from p to its orthogonal projection onto aff(verts),
+    and whether that projection lies in conv(verts); verts must be affinely
+    independent."""
     base = verts[0]
     dirs = [point_sub(v, base) for v in verts[1:]]
-    # Solve the normal equations G t = b over Fractions; the Gram matrix G is
-    # positive definite iff the dirs are independent.
-    k = len(dirs)
-    g = [[point_dot(dirs[i], dirs[j]) for j in range(k)] + [point_dot(dirs[i], point_sub(p, base))] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if g[r][col] != 0), None)
-        if piv is None:
-            return None
-        g[col], g[piv] = g[piv], g[col]
-        pv = g[col][col]
-        for r in range(k):
-            if r != col and g[r][col] != 0:
-                f = g[r][col] / pv
-                for c in range(col, k + 1):
-                    g[r][c] -= f * g[col][c]
-    ts = [g[i][k] / g[i][i] for i in range(k)]
-    proj = base
+    # The normal equations G t = b; the Gram matrix G is nonsingular because
+    # the dirs are independent.
+    w = point_sub(p, base)
+    ts = solve([[point_dot(a, b) for b in dirs] for a in dirs], [point_dot(a, w) for a in dirs])
+    diff = w
     for t, d in zip(ts, dirs):
-        proj = point_add(proj, point_scale(d, t))
-    diff = point_sub(p, proj)
-    # ts are the barycentric coordinates of proj on verts[1:]; 1 - sum(ts) is
-    # its coordinate on verts[0].
-    inside = all(t >= 0 for t in ts) and sum(ts) <= 1
-    return proj, point_dot(diff, diff), inside
+        diff = point_sub(diff, point_scale(d, t))
+    # ts are the barycentric coordinates of the projection on verts[1:];
+    # 1 - sum(ts) is its coordinate on verts[0].
+    return point_dot(diff, diff), all(t >= 0 for t in ts) and sum(ts) <= 1
+
+
+def _simplex_faces(P: Polytope) -> set[tuple[int, ...]]:
+    """Index tuples into P.vertices of every face of the simplices that
+    triangulate the boundary of a full-dimensional P, or all of a flat P
+    within its affine hull."""
+    _, cols = _affine_basis(list(P.vertices))
+    if not cols:
+        return {(0,)}
+    if len(cols) == P.dim:
+        simplices = _hull_data_of(P).facet_vertices
+    else:  # flat: the projection to the pivot coordinates keeps the indices
+        simplices = _hull.hull_data([tuple(v[c] for c in cols) for v in P.vertices], len(cols)).fan_triangulation()
+    faces = set()
+    for simplex in simplices:
+        simplex = sorted(simplex)
+        for k in range(1, len(simplex) + 1):
+            faces.update(combinations(simplex, k))
+    return faces
 
 
 def point_polytope_sqdist(p, P: Polytope) -> Fraction:
-    """Exact squared Euclidean distance from a point to a polytope."""
+    """Exact squared Euclidean distance from a point to a polytope.
+
+    The nearest point lies in the relative interior of a face of one of the
+    simplices of `_simplex_faces`, where it is the projection of p onto the
+    affine hull of that face.
+    """
     p = as_point(p)
     if contains_point(P, p):
         return Fraction(0)
-    verts = list(P.vertices)
-    kept, _ = _affine_basis(verts)
-    r = len(kept)
     best = None
-    # Projection onto the whole affine hull (covers flat bodies).
-    if 1 <= r < P.dim:
-        proj, d2, _ = _proj_to_affine_hull(p, [verts[0]] + [verts[i + 1] for i in kept])
-        if contains_point(P, proj):
+    for face in _simplex_faces(P):
+        d2, inside = _proj_to_affine_hull(p, [P.vertices[i] for i in face])
+        if inside and (best is None or d2 < best):
             best = d2
-    if P.dim == 2 and r == 2:
-        ring = _hull.hull2d_extreme(verts)
-        faces: list[list[Point]] = [[v] for v in ring]
-        m = len(ring)
-        faces += [[ring[i], ring[(i + 1) % m]] for i in range(m)]
-    else:
-        faces = _candidate_faces(verts, r)
-    for face in faces:
-        got = _proj_to_affine_hull(p, face)
-        if got is None or not got[2]:
-            continue
-        if best is None or got[1] < best:
-            best = got[1]
     return best
-
-
-def _candidate_faces(verts: list[Point], r: int) -> list[list[Point]]:
-    from itertools import combinations
-
-    faces: list[list[Point]] = [[v] for v in verts]
-    for k in range(2, r + 1):
-        faces.extend(list(c) for c in combinations(verts, k))
-    return faces
 
 
 def hausdorff_distance(P: Polytope, Q: Polytope) -> float:
@@ -425,16 +411,18 @@ def _octa_mesh(level: int) -> list[Point]:
 
 def _certified_circumscribe(inner: Polytope) -> Polytope:
     """Smallest dyadic multiple of `inner` certified to contain the unit ball."""
-    worst = Fraction(0)
-    for nu, c in facet_inequalities(inner):
-        if c <= 0:
-            raise ArithmeticError("origin is not interior to the inscribed body")
-        nn = sum(Fraction(a) * a for a in nu)
-        worst = max(worst, nn / (c * c))
+    facets = [(sum(a * a for a in nu), c) for nu, c in facet_inequalities(inner)]
+    if any(c <= 0 for _, c in facets):
+        raise ArithmeticError("origin is not interior to the inscribed body")
+    worst = max(nn / (c * c) for nn, c in facets)
     den = 2 ** 30
     sigma = Fraction(math.ceil(math.sqrt(float(worst)) * den), den)
     while sigma * sigma < worst:
         sigma += Fraction(1, den)
+    # Certificate: the facet (nu, sigma c) of sigma * inner is at distance
+    # sigma c / |nu| >= 1 from the origin.
+    if any(sigma * sigma * c * c < nn for nn, c in facets):
+        raise ArithmeticError("a circumscribed facet cuts the unit ball")
     return scale(inner, sigma)
 
 
@@ -460,6 +448,8 @@ def ball_approx(n: int, level: int, side: str) -> Polytope:
     else:
         pts = _octa_mesh(level)
     inner = hull(pts, n)
+    if any(point_dot(v, v) > 1 for v in inner.vertices):
+        raise ArithmeticError("an inscribed vertex lies outside the unit ball")
     result = inner if side == "inscribed" else _certified_circumscribe(inner)
     _BALL_CACHE[key] = result
     return result

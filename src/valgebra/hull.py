@@ -15,26 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, isfinite, lcm
+from math import factorial, gcd, isfinite
 
 import numpy as np
 
-from .intlinalg import hyperplane_through, independent_rows, simplex_det
+from .intlinalg import hyperplane_through, independent_rows, scale_to_ints, simplex_det
 
 _ULP = 2.0 ** -53
-
-
-def scale_to_ints(points) -> tuple[list[tuple[int, ...]], int]:
-    """Clear denominators with one common scale for the whole point set."""
-    den = 1
-    for p in points:
-        for c in p:
-            if isinstance(c, Fraction) and c.denominator != 1:
-                den = lcm(den, c.denominator)
-    out = []
-    for p in points:
-        out.append(tuple(int(c * den) for c in p))
-    return out, den
 
 
 @dataclass

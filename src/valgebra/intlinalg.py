@@ -1,20 +1,35 @@
-"""Exact integer linear algebra used by the hull engine.
+"""Exact linear algebra: the determinant, the square solve and the echelon.
 
-Everything here works on plain Python ints (arbitrary precision), which is
-what the hull engine uses internally after clearing denominators.
+Determinants work on plain Python ints (arbitrary precision); rational input
+is first brought to ints by one common denominator.  `bareiss_det` and
+`independent_rows` hold the package's only pivot searches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
+def scale_to_ints(points) -> tuple[list[tuple[int, ...]], int]:
+    """Clear denominators with one common scale for the whole point set."""
+    den = 1
+    for p in points:
+        for c in p:
+            if isinstance(c, Fraction) and c.denominator != 1:
+                den = lcm(den, c.denominator)
+    out = []
+    for p in points:
+        out.append(tuple(int(c * den) for c in p))
+    return out, den
+
+
+def bareiss_det(rows) -> int:
     """Determinant of a square integer matrix, fraction-free Bareiss scheme."""
     n = len(rows)
     if n == 0:
         return 1
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -36,6 +51,19 @@ def bareiss_det(rows: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def solve(a, b) -> list[Fraction]:
+    """Exact solution x of the nonsingular square system a x = b (Cramer's rule).
+
+    Entries may be ints or Fractions; [a | b] is scaled to ints by one common
+    denominator, which leaves the solution unchanged.
+    """
+    rows, _ = scale_to_ints([tuple(row) + (rhs,) for row, rhs in zip(a, b)])
+    det = bareiss_det([r[:-1] for r in rows])
+    if det == 0:
+        raise ArithmeticError("singular system")
+    return [Fraction(bareiss_det([r[:j] + r[-1:] + r[j + 1 : -1] for r in rows]), det) for j in range(len(rows))]
 
 
 def independent_rows(rows, limit: int | None = None) -> tuple[list[int], list[int]]:

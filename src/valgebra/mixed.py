@@ -194,7 +194,7 @@ def minkowski_polynomial(K: Polytope, slack, density: Polynomial | None = None) 
     grouped = _grouped_sum_polynomial(K, groups, n, density)
     s = len(slack)
     if s == 0:
-        value = grouped.coefficient(()) if grouped.num_vars == 0 else grouped.coefficient(tuple())
+        value = grouped.coefficient(())
         return MinkowskiPolynomial(K, (), density, Polynomial.constant(0, value))
     # Expand each group variable into the sum of its slot variables.
     reps = []

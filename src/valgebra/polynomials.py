@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import Polytope, as_scalar, triangulation
+from .intlinalg import bareiss_det, scale_to_ints
 
 
 class Polynomial:
@@ -162,18 +163,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def poly_eval(f: Polynomial, x) -> Fraction:
-    return f.eval(x)
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def poly_external_product(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f.external_product(g)
-
-
 def _dirichlet_monomial(exp: tuple[int, ...]) -> Fraction:
     """Integral of u^exp over the standard simplex in len(exp) variables."""
     n = len(exp)
@@ -193,7 +182,8 @@ def integrate_simplex(vertices, f: Polynomial) -> Fraction:
         raise ValueError("density variable count must match the dimension")
     base = verts[0]
     cols = [tuple(v[i] - base[i] for i in range(n)) for v in verts[1:]]
-    det = _fraction_det([[cols[j][i] for j in range(n)] for i in range(n)])
+    int_cols, den = scale_to_ints(cols)
+    det = Fraction(bareiss_det(int_cols), den ** n)
     if det == 0:
         return Fraction(0)
     # x_i = base_i + sum_j cols[j][i] * u_j
@@ -209,31 +199,6 @@ def integrate_simplex(vertices, f: Polynomial) -> Fraction:
     for exp, coef in g.terms.items():
         total += coef * _dirichlet_monomial(exp)
     return abs(det) * total
-
-
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                fct = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= fct * m[col][c]
-    return det
 
 
 def integrate(P: Polytope, f: Polynomial) -> Fraction:

@@ -128,24 +128,34 @@ def generator_to_json(g) -> dict:
     raise ValueError(f"generator kind {type(g).__name__} has no JSON form")
 
 
+def list_from_json(obj: dict, key: str) -> list:
+    """The list under `key`, empty when the key is absent."""
+    got = obj.get(key, [])
+    if not isinstance(got, list):
+        raise ValueError(f"field {key!r} must be a list")
+    return got
+
+
 def generator_from_json(obj, dim: int):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("generator JSON needs a 'kind'")
     kind = obj["kind"]
     coeff = scalar_from_json(obj.get("coeff", 1))
     if kind == "mv":
-        bodies = tuple(polytope_from_json(b) for b in obj.get("bodies", []))
+        bodies = tuple(polytope_from_json(b) for b in list_from_json(obj, "bodies"))
         degree = obj.get("degree", dim - len(bodies))
+        if not isinstance(degree, int):
+            raise ValueError("'mv' term 'degree' must be an integer")
         return MVGenerator(dim, degree, bodies, coeff)
     if kind == "pd":
-        density = polynomial_from_json(obj["density"])
-        slack = tuple(polytope_from_json(b) for b in obj.get("slack", []))
+        density = polynomial_from_json(obj.get("density"))
+        slack = tuple(polytope_from_json(b) for b in list_from_json(obj, "slack"))
         return PDGenerator(dim, density, slack, coeff)
     if kind == "euler":
         return EulerGenerator(dim, coeff)
     if kind == "product":
-        left = generator_from_json(obj["left"], dim)
-        right = generator_from_json(obj["right"], dim)
+        left = generator_from_json(obj.get("left"), dim)
+        right = generator_from_json(obj.get("right"), dim)
         return ProductGenerator(dim, left, right, coeff)
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -160,5 +170,5 @@ def valuation_from_json(obj) -> Valuation:
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise ValueError("valuation 'dim' must be a positive integer")
-    terms = tuple(generator_from_json(t, dim) for t in obj["terms"])
+    terms = tuple(generator_from_json(t, dim) for t in list_from_json(obj, "terms"))
     return Valuation(dim, terms)

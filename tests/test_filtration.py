@@ -160,6 +160,17 @@ class TestSymbol:
         assert sym.pairs == ()
         assert sym.evaluate(unit_cube(2), ZERO2) == 0
 
+    def test_collinear_point_grid(self):
+        # The rows [1, x] of a collinear grid have rank 2 < 3, so no affine
+        # density is determined and the grid fit is not compared.
+        T = standard_simplex(2)
+        g = Valuation(2, (PDGenerator(2, Polynomial(2, {(0, 1): F(1)}), (T,)),))
+        x_grid = [ZERO2, (F(1), F(0)), (F(2), F(0))]
+        sym = symbol(g, 1, [unit_cube(2), T], x_grid)
+        (va, po), = sym.pairs
+        assert po == Polynomial(2, {(0, 1): F(1)})
+        assert evaluate(va, T) == 2 * mixed_volume([T, T])
+
     def test_membership_precondition(self, rng):
         g = Valuation(2, (euler(2),))
         k_grid, x_grid = self.grids()

@@ -297,6 +297,77 @@ class TestHausdorff:
         assert point_polytope_sqdist((F(3), F(0)), s) == 4
 
 
+# --- reference oracle: nearest point over every vertex subset ---------------
+def _gauss_solve(g, b):
+    """Gauss-Jordan on a square Fraction system; None when it is singular."""
+    k = len(g)
+    m = [row[:] + [rhs] for row, rhs in zip(g, b)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(k):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * c for a, c in zip(m[r], m[col])]
+    return [m[i][k] / m[i][i] for i in range(k)]
+
+
+def subset_sqdist(p, P):
+    """min |p - q|^2 over affinely independent vertex sets S and the
+    projection q of p to aff(S), when q lies in conv(S)."""
+    from itertools import combinations
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), F(0))
+
+    best = None
+    for k in range(1, P.dim + 2):
+        for face in combinations(P.vertices, k):
+            base = face[0]
+            dirs = [tuple(a - b for a, b in zip(v, base)) for v in face[1:]]
+            w = tuple(a - b for a, b in zip(p, base))
+            ts = _gauss_solve([[dot(a, b) for b in dirs] for a in dirs], [dot(a, w) for a in dirs])
+            if ts is None or any(t < 0 for t in ts) or sum(ts) > 1:
+                continue
+            q = list(base)
+            for t, d in zip(ts, dirs):
+                q = [a + t * c for a, c in zip(q, d)]
+            d2 = dot([a - b for a, b in zip(p, q)], [a - b for a, b in zip(p, q)])
+            best = d2 if best is None else min(best, d2)
+    return best
+
+
+def _flat_body_in_space(rng):
+    """2 to 5 points in a random plane or on a random line of R^3."""
+    origin = [F(rng.randint(-6, 6), 2) for _ in range(3)]
+    axes = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(rng.choice((1, 2)))]
+    pts = []
+    for _ in range(rng.randint(2, 5)):
+        coef = [F(rng.randint(-4, 4), 2) for _ in axes]
+        pts.append(tuple(o + sum((c * a[i] for c, a in zip(coef, axes)), F(0)) for i, o in enumerate(origin)))
+    return hull(pts, 3)
+
+
+def test_point_distance_matches_subset_oracle():
+    rng = random.Random(20261018)
+    makers = [
+        lambda: hull(rational_points(rng, rng.randint(1, 7), 2, denom=2), 2),
+        lambda: hull(rational_points(rng, rng.randint(4, 7), 3, denom=2), 3),
+        lambda: _flat_body_in_space(rng),
+    ]
+    for make in makers:
+        for _ in range(100):
+            P = make()
+            p = tuple(F(rng.randint(-16, 16), 4) for _ in range(P.dim))
+            if rng.random() < 0.5:  # an affine combination: in the plane of a flat body
+                cs = [F(rng.randint(-4, 8), 4) for _ in P.vertices]
+                cs[0] += 1 - sum(cs)
+                p = tuple(sum((c * v[i] for c, v in zip(cs, P.vertices)), F(0)) for i in range(P.dim))
+            assert point_polytope_sqdist(p, P) == subset_sqdist(p, P), (p, P.vertices)
+
+
 class TestBallApprox:
     def test_hexagon_level_one(self):
         B = ball_approx(2, 1, "inscribed")
@@ -340,6 +411,27 @@ class TestBallApprox:
             errs.append(hausdorff_distance(i2, c2))
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] <= 2.0 * 4.0 ** (-3)
+
+    def test_sphere_hausdorff_distances(self):
+        inner, outer = ball_approx(3, 2, "inscribed"), ball_approx(3, 2, "circumscribed")
+        sq = max(
+            max(point_polytope_sqdist(v, outer) for v in inner.vertices),
+            max(point_polytope_sqdist(w, inner) for w in outer.vertices),
+        )
+        assert sq == F(58247374754015041, 1152921504606846976)
+        assert hausdorff_distance(inner, outer) == math.sqrt(sq)
+        level3 = hausdorff_distance(ball_approx(3, 3, "inscribed"), ball_approx(3, 3, "circumscribed"))
+        assert level3 < math.sqrt(sq)
+
+    def test_rejects_an_inscribed_vertex_outside_the_ball(self, monkeypatch):
+        import valgebra.geometry as geometry
+
+        table = dict(geometry._disc_vertex_table(1))
+        table[F(0)] = (F(1), F(1, 1024))
+        monkeypatch.setattr(geometry, "_disc_vertex_table", lambda level: table)
+        monkeypatch.setattr(geometry, "_BALL_CACHE", {})
+        with pytest.raises(ArithmeticError):
+            ball_approx(2, 1, "inscribed")
 
     def test_inscribed_sphere_meshes_keep_every_vertex(self):
         for level, count in ((2, 18), (3, 66)):

@@ -6,14 +6,8 @@ import pytest
 
 from valgebra.geometry import hull, translate, scale, volume
 from valgebra.interp import tensor_interpolate, univariate_coeffs
-from valgebra.polynomials import (
-    Polynomial,
-    integrate,
-    integrate_simplex,
-    poly_eval,
-    poly_external_product,
-    poly_mul,
-)
+from valgebra.intlinalg import bareiss_det, scale_to_ints, solve
+from valgebra.polynomials import Polynomial, integrate, integrate_simplex
 from valgebra.samples import standard_simplex, unit_cube
 
 from conftest import rational_points
@@ -27,14 +21,14 @@ Y = Polynomial(2, {(0, 1): F(1)})
 class TestRingOps:
     def test_eval(self):
         f = X * X + Y
-        assert poly_eval(f, (2, 3)) == 7
+        assert f.eval((2, 3)) == 7
 
     def test_mul(self):
-        assert poly_mul(X, X) == Polynomial(2, {(2, 0): F(1)})
+        assert X * X == Polynomial(2, {(2, 0): F(1)})
 
     def test_external_product(self):
         x1 = Polynomial(1, {(1,): F(1)})
-        g = poly_external_product(x1, x1)
+        g = x1.external_product(x1)
         assert g.num_vars == 2
         assert g.eval((2, 3)) == 6
 
@@ -62,7 +56,7 @@ class TestRingOps:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            poly_mul(X, Polynomial(1, {(1,): F(1)}))
+            X * Polynomial(1, {(1,): F(1)})
         with pytest.raises(ValueError):
             X.eval((1,))
 
@@ -95,6 +89,20 @@ class TestSimplexIntegration:
         for exps in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (0, 3, 0)]:
             f = Polynomial(3, {exps: F(1)})
             assert integrate_simplex(verts, f) == dirichlet_value(exps)
+
+    def test_rational_simplex_matches_dirichlet(self):
+        # The affine map u -> base + M u sends the standard simplex onto the
+        # simplex, so integral of x^e over it is |det M| * integral of the
+        # pulled-back polynomial, here a single monomial because M is diagonal.
+        base = (F(1, 3), F(-2, 5), F(3, 7))
+        diag = (F(2, 3), F(-5, 4), F(7, 9))
+        verts = [base] + [tuple(base[j] + (diag[i] if i == j else 0) for j in range(3)) for i in range(3)]
+        shifted = [Polynomial.variable(3, i) - Polynomial.constant(3, base[i]) for i in range(3)]
+        for exps in [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1)]:
+            f = shifted[0].power(exps[0]) * shifted[1].power(exps[1]) * shifted[2].power(exps[2])
+            jac = abs(diag[0] * diag[1] * diag[2])
+            want = jac * diag[0] ** exps[0] * diag[1] ** exps[1] * diag[2] ** exps[2] * dirichlet_value(exps)
+            assert integrate_simplex(verts, f) == want
 
     def test_wrong_vertex_count(self):
         with pytest.raises(ValueError):
@@ -149,6 +157,50 @@ class TestPolytopeIntegration:
                 ]
                 total += integrate_simplex(simplex, f)
             assert total == direct
+
+
+def leibniz_det(m):
+    """Independent oracle: the permutation expansion of the determinant."""
+    from itertools import permutations
+
+    total = F(0)
+    for perm in permutations(range(len(m))):
+        sign = 1
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = F(sign)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+class TestExactLinearAlgebra:
+    def random_matrix(self, rng, n):
+        return [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+
+    def test_det_on_rational_input(self, rng):
+        for n in (1, 2, 3, 4):
+            for _ in range(25):
+                m = self.random_matrix(rng, n)
+                ints, den = scale_to_ints(m)
+                assert F(bareiss_det(ints), den ** n) == leibniz_det(m)
+
+    def test_solve_on_rational_input(self, rng):
+        for n in (0, 1, 2, 3, 4):
+            for _ in range(25):
+                a = self.random_matrix(rng, n)
+                if leibniz_det(a) == 0:
+                    continue
+                b = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                x = solve(a, b)
+                assert [sum((r[j] * x[j] for j in range(n)), F(0)) for r in a] == b
+
+    def test_solve_rejects_singular_systems(self):
+        with pytest.raises(ArithmeticError):
+            solve([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(0)])
 
 
 class TestInterpolation:

@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valgebra.geometry import hull
 from valgebra.polynomials import Polynomial
@@ -150,12 +154,21 @@ class TestCli:
 
     def test_malformed_json_exit_2(self):
         body = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
-        bad_terms = [
-            json.dumps({"valuation": {"dim": 2, "terms": [{"kind": "pd", "density": {"vars": 2, "terms": terms}}]}, "body": body})
-            for terms in ([1], "x")
+
+        def evaluate(term):
+            return ["evaluate", json.dumps({"valuation": {"dim": 2, "terms": [term]}, "body": body})]
+
+        cases = [["evaluate", "{not json"], ["evaluate", "[1]"], ["evaluate", "[" * 20000 + "]" * 20000]]
+        cases += [evaluate({"kind": "pd", "density": {"vars": 2, "terms": terms}}) for terms in ([1], "x")]
+        cases += [
+            evaluate({"kind": "pd", "slack": [body]}),
+            evaluate({"kind": "product", "left": {"kind": "euler"}}),
+            evaluate({"kind": "product", "right": {"kind": "euler"}}),
+            evaluate({"kind": "mv", "degree": "x", "bodies": [body]}),
+            ["mixed-volume", json.dumps({"bodies": 5})],
         ]
-        for payload in ["{not json"] + bad_terms:
-            proc = run_cli(["evaluate", "--input", payload])
+        for command, payload in cases:
+            proc = run_cli([command, "--input", payload])
             assert proc.returncode == 2, payload
             assert "error" in json.loads(proc.stdout)
 
@@ -300,3 +313,65 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod.acceptance, "run_all", fake_run_all_fail)
         assert main(["verify"]) == 1
+
+
+# --- fuzzing the wire formats: any JSON input exits 0 or 2 -------------------
+FUZZ_TRI = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+FUZZ_SEG = {"dim": 2, "vertices": [[0, 0], [1, 1]]}
+FUZZ_MV = {"kind": "mv", "degree": 1, "bodies": [FUZZ_TRI], "coeff": 1}
+FUZZ_PD = {"kind": "pd", "density": {"vars": 2, "terms": [{"exp": [1, 0], "coef": "1/2"}]}, "slack": [FUZZ_SEG], "coeff": 1}
+FUZZ_VALID = {
+    "evaluate": {
+        "valuation": {
+            "dim": 2,
+            "terms": [FUZZ_MV, FUZZ_PD, {"kind": "euler", "coeff": 2}, {"kind": "product", "left": FUZZ_MV, "right": {"kind": "euler"}}],
+        },
+        "body": FUZZ_SEG,
+    },
+    "product": {"left": {"dim": 2, "terms": [FUZZ_MV]}, "right": {"dim": 2, "terms": [FUZZ_PD]}, "body": FUZZ_TRI},
+    "mixed-volume": {"bodies": [FUZZ_TRI, FUZZ_SEG]},
+    "symbol": {"valuation": {"dim": 2, "terms": [FUZZ_PD]}, "level": 1, "points": [[0, 0], [1, 0], [0, 1]]},
+}
+FUZZ_KEYS = sorted({"dim", "vertices", "bodies", "kind", "degree", "coeff", "density", "slack", "vars", "terms",
+                    "exp", "coef", "left", "right", "valuation", "body", "level", "points"})
+small_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.floats(width=16)
+    | st.sampled_from(["", "x", "1/2", "1/0", "mv", "pd", "euler", "product"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.sampled_from(FUZZ_KEYS), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def one_key_changed(draw, command):
+    """A valid request with one object key, at any depth, dropped or replaced."""
+    request = copy.deepcopy(FUZZ_VALID[command])
+    slots = []
+    stack = [request]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            slots.extend((node, key) for key in node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    node, key = draw(st.sampled_from(slots))
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(small_json)
+    return request
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_VALID))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_cli_wire_formats_exit_0_or_2(command, data):
+    request = data.draw(small_json | one_key_changed(command))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--input=" + json.dumps(request)])
+    assert code in (0, 2), out.getvalue()
