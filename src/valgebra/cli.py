@@ -22,6 +22,7 @@ from .serialize import (
     list_from_json,
     polynomial_to_json,
     polytope_from_json,
+    scalar_from_json,
     scalar_to_json,
     valuation_from_json,
     valuation_to_json,
@@ -207,7 +208,7 @@ def _cmd_symbol(args):
     if not all(isinstance(x, list) for x in xs):
         raise InputError("field 'points' must list coordinate lists")
     if xs:
-        x_grid = [tuple(Fraction(str(c)) for c in x) for x in xs]
+        x_grid = [tuple(scalar_from_json(c) for c in x) for x in xs]
     else:
         zero = tuple(Fraction(0) for _ in range(n))
         e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(n))

@@ -114,10 +114,6 @@ class Polytope:
                 raise ValueError("vertex dimension mismatch")
 
     @staticmethod
-    def from_points(points, dim: int | None = None) -> "Polytope":
-        return hull(points, dim)
-
-    @staticmethod
     def _trusted(dim: int, vertices) -> "Polytope":
         """Construct from vertices already known to be extreme and distinct."""
         return Polytope(dim, tuple(sorted(vertices)))

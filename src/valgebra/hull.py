@@ -2,10 +2,12 @@
 
 The engine works on integer coordinates (callers clear denominators first)
 and runs an incremental beneath-beyond construction that maintains a
-triangulated boundary complex with exact integer hyperplanes.  Visibility
-tests are filtered through vectorized floating point with a certified error
-bound; only near-ties fall back to exact integer dot products, so results are
-exact for arbitrary inputs.
+triangulated boundary complex with exact integer hyperplanes.  A facet (ν, c)
+is visible from a point q iff ν·q − c > 0, one exact integer test over the
+live facets: points on a facet's hyperplane are not beyond it, so points of
+the closed hull are never inserted and coplanar facets are never rebuilt.
+Every sign is decided in integer arithmetic, so results are exact for
+arbitrary inputs.
 
 Degenerate inputs (affine dimension below the ambient one) are reported as
 such; callers decide how to project.
@@ -15,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, isfinite
-
-import numpy as np
+from itertools import count
+from math import factorial, gcd
+from operator import mul
 
 from .intlinalg import hyperplane_through, independent_rows, scale_to_ints, simplex_det
-
-_ULP = 2.0 ** -53
 
 
 @dataclass
@@ -91,73 +91,24 @@ class _Incremental:
     def __init__(self, pts: list[tuple[int, ...]], n: int):
         self.pts = pts
         self.n = n
-        self.facet_verts: list[tuple[int, ...]] = []
-        self.normals: list[tuple[int, ...]] = []
-        self.offsets: list[int] = []
-        self.alive: list[bool] = []
+        # Live facets only: fid -> (vertices, outward normal, offset).
+        self.facets: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self.ridges: dict[tuple[int, ...], list[int]] = {}
-        self._cap = 256
-        self._fN = np.zeros((self._cap, n))
-        self._faN = np.zeros((self._cap, n))
-        self._fc = np.zeros(self._cap)
-        self._fac = np.zeros(self._cap)
-        self._alive_np = np.zeros(self._cap, dtype=bool)
-        self._ok = np.zeros(self._cap, dtype=bool)
-        self._err_c = 8.0 * (n + 4) * _ULP
+        self.fids = count()
         self.ref: tuple[int, ...] | None = None
 
-    def _grow(self):
-        cap = self._cap * 2
-        for name in ("_fN", "_faN"):
-            arr = np.zeros((cap, self.n))
-            arr[: self._cap] = getattr(self, name)
-            setattr(self, name, arr)
-        for name, dt in (("_fc", float), ("_fac", float), ("_alive_np", bool), ("_ok", bool)):
-            arr = np.zeros(cap, dtype=dt)
-            arr[: self._cap] = getattr(self, name)
-            setattr(self, name, arr)
-        self._cap = cap
-
-    def _add_facet_oriented(self, verts: tuple[int, ...], nu: tuple[int, ...], c: int) -> int:
-        g = 0
-        for x in nu:
-            g = gcd(g, x)
-        g = gcd(g, c)
+    def _add_facet_oriented(self, verts: tuple[int, ...], nu: tuple[int, ...], c: int):
+        g = gcd(*nu, c)
         if g > 1:
             nu = tuple(x // g for x in nu)
             c = c // g
-        fid = len(self.facet_verts)
-        if fid == self._cap:
-            self._grow()
-        self.facet_verts.append(verts)
-        self.normals.append(nu)
-        self.offsets.append(c)
-        self.alive.append(True)
-        ok = True
-        try:
-            fn = [float(x) for x in nu]
-            fc = float(c)
-            for x in fn:
-                if not isfinite(x):
-                    ok = False
-            if not isfinite(fc):
-                ok = False
-        except OverflowError:
-            fn = [0.0] * self.n
-            fc = 0.0
-            ok = False
-        self._fN[fid] = fn
-        self._faN[fid] = [abs(x) for x in fn]
-        self._fc[fid] = fc
-        self._fac[fid] = abs(fc)
-        self._alive_np[fid] = True
-        self._ok[fid] = ok
+        fid = next(self.fids)
+        self.facets[fid] = (verts, nu, c)
         for k in range(self.n):
             ridge = verts[:k] + verts[k + 1 :]
             self.ridges.setdefault(ridge, []).append(fid)
-        return fid
 
-    def _add_facet(self, verts: tuple[int, ...]) -> int:
+    def _add_facet(self, verts: tuple[int, ...]):
         nu, c = hyperplane_through(self.pts, verts)
         if all(x == 0 for x in nu):
             raise ArithmeticError("degenerate facet candidate")
@@ -167,45 +118,16 @@ class _Incremental:
             c = -c
         elif t == 0:
             raise ArithmeticError("orientation reference lies on a facet")
-        return self._add_facet_oriented(verts, nu, c)
+        self._add_facet_oriented(verts, nu, c)
 
     def _kill_facet(self, fid: int):
-        self.alive[fid] = False
-        self._alive_np[fid] = False
-        verts = self.facet_verts[fid]
+        verts = self.facets.pop(fid)[0]
         for k in range(self.n):
             ridge = verts[:k] + verts[k + 1 :]
-            lst = self.ridges.get(ridge)
-            if lst is not None:
-                lst.remove(fid)
-                if not lst:
-                    del self.ridges[ridge]
-
-    def _exact_d(self, fid: int, q: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(self.normals[fid], q)) - self.offsets[fid]
-
-    def _visible_facets(self, q: tuple[int, ...]) -> list[int]:
-        r = len(self.facet_verts)
-        try:
-            qf = np.array([float(x) for x in q])
-            finite = bool(np.all(np.isfinite(qf)))
-        except OverflowError:
-            finite = False
-        alive = self._alive_np[:r]
-        if finite:
-            d = self._fN[:r] @ qf - self._fc[:r]
-            err = self._err_c * (self._faN[:r] @ np.abs(qf) + self._fac[:r])
-            ok = self._ok[:r] & np.isfinite(d) & np.isfinite(err)
-            vis = alive & ok & (d > err)
-            unc = alive & ~(vis | (ok & (d < -err)))
-        else:
-            vis = np.zeros(r, dtype=bool)
-            unc = alive.copy()
-        out = [int(f) for f in np.nonzero(vis)[0]]
-        for fid in np.nonzero(unc)[0]:
-            if self._exact_d(int(fid), q) >= 0:
-                out.append(int(fid))
-        return out
+            lst = self.ridges[ridge]
+            lst.remove(fid)
+            if not lst:
+                del self.ridges[ridge]
 
     def run(self) -> HullData | None:
         n = self.n
@@ -222,69 +144,55 @@ class _Incremental:
         rest.sort(key=lambda i: -self._far_key(i))
         for qi in rest:
             self._insert(qi)
-        alive_ids = [i for i, a in enumerate(self.alive) if a]
+        facets = self.facets.values()
         return HullData(
             dim=n,
             points=self.pts,
             scale=1,
-            facet_vertices=[self.facet_verts[i] for i in alive_ids],
-            normals=[self.normals[i] for i in alive_ids],
-            offsets=[self.offsets[i] for i in alive_ids],
+            facet_vertices=[f[0] for f in facets],
+            normals=[f[1] for f in facets],
+            offsets=[f[2] for f in facets],
         )
 
-    def _far_key(self, i: int) -> float:
-        try:
-            v = [float(x) for x in self.pts[i]]
-        except OverflowError:
-            return float("inf")
-        r = tuple(float(x) / (self.n + 1) for x in self.ref)
-        s = sum((a - b) ** 2 for a, b in zip(v, r))
-        return s if np.isfinite(s) else float("inf")
+    def _far_key(self, i: int) -> int:
+        """Squared distance from the base centroid, scaled by (n + 1)**2."""
+        m = self.n + 1
+        return sum((m * a - b) ** 2 for a, b in zip(self.pts[i], self.ref))
 
     def _insert(self, qi: int):
         q = self.pts[qi]
-        visible = self._visible_facets(q)
-        if not visible:
+        # A facet is visible iff q lies strictly beyond its hyperplane; a point
+        # in the closed hull sees none and is skipped.
+        d: dict[int, int] = {}
+        for fid, (_, nu, c) in self.facets.items():
+            t = sum(map(mul, nu, q)) - c
+            if t > 0:
+                d[fid] = t
+        if not d:
             return
-        vis_set = set(visible)
-        d_cache: dict[int, int] = {}
-
-        def d_of(fid: int) -> int:
-            d = d_cache.get(fid)
-            if d is None:
-                d = self._exact_d(fid, q)
-                d_cache[fid] = d
-            return d
-
-        horizon: list[tuple[tuple[int, ...], int, int]] = []
-        for fid in visible:
-            verts = self.facet_verts[fid]
+        new = []
+        for fid, df in d.items():
+            verts, nu_f, c_f = self.facets[fid]
             for k in range(self.n):
                 ridge = verts[:k] + verts[k + 1 :]
                 lst = self.ridges[ridge]
-                other = None
-                for f in lst:
-                    if f != fid:
-                        other = f
-                if other is None or other not in vis_set:
-                    horizon.append((ridge, fid, other))
-        for fid in visible:
+                if len(lst) != 2:
+                    raise ArithmeticError("boundary complex lost a ridge neighbor")
+                g = lst[0] if lst[1] == fid else lst[1]
+                if g in d:
+                    continue
+                # The new hyperplane lies in the pencil spanned by the two old
+                # facets through the horizon ridge; the combination below
+                # contains q and is outward-oriented (both old facets keep the
+                # interior reference strictly below).  When q lies on g's
+                # hyperplane it is g's own.
+                _, nu_g, c_g = self.facets[g]
+                dg = sum(map(mul, nu_g, q)) - c_g
+                nu = tuple(df * y - dg * x for x, y in zip(nu_f, nu_g))
+                new.append((tuple(sorted(ridge + (qi,))), nu, df * c_g - dg * c_f))
+        for fid in d:
             self._kill_facet(fid)
-        for ridge, fvis, ginv in horizon:
-            verts = tuple(sorted(ridge + (qi,)))
-            if ginv is None:
-                raise ArithmeticError("boundary complex lost a ridge neighbor")
-            # The new hyperplane lies in the pencil spanned by the two old
-            # facets through the ridge; the combination below contains q and
-            # is automatically outward-oriented (both old facets keep the
-            # interior reference strictly below).
-            df = d_of(fvis)
-            dg = d_of(ginv)
-            nu_f, c_f = self.normals[fvis], self.offsets[fvis]
-            nu_g, c_g = self.normals[ginv], self.offsets[ginv]
-            a, b = -dg, df
-            nu = tuple(a * x + b * y for x, y in zip(nu_f, nu_g))
-            c = a * c_f + b * c_g
+        for verts, nu, c in new:
             self._add_facet_oriented(verts, nu, c)
 
 

@@ -42,9 +42,6 @@ class Interval:
         x = as_scalar(x) if not isinstance(x, float) else Fraction(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -442,7 +442,7 @@ def closed_form_product(g: MVGenerator, h: MVGenerator) -> MVGenerator:
     return MVGenerator(n, n, (), coeff)
 
 
-def product(phi, psi, max_internal_dim: int = DEFAULT_MAX_INTERNAL_DIM, use_closed_form: bool = True) -> Valuation:
+def product(phi, psi, max_internal_dim: int = DEFAULT_MAX_INTERNAL_DIM) -> Valuation:
     """Bilinear product of valuations.
 
     Unit factors apply the unit law; complementary-degree mixed-volume pairs
@@ -458,12 +458,7 @@ def product(phi, psi, max_internal_dim: int = DEFAULT_MAX_INTERNAL_DIM, use_clos
                 out.append(h.scaled(g.coeff))
             elif isinstance(h, EulerGenerator):
                 out.append(g.scaled(h.coeff))
-            elif (
-                use_closed_form
-                and isinstance(g, MVGenerator)
-                and isinstance(h, MVGenerator)
-                and g.degree + h.degree == g.dim
-            ):
+            elif isinstance(g, MVGenerator) and isinstance(h, MVGenerator) and g.degree + h.degree == g.dim:
                 out.append(closed_form_product(g, h))
             else:
                 out.append(ProductGenerator(g.dim, g, h, Fraction(1), max_internal_dim))

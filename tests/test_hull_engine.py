@@ -1,8 +1,9 @@
 """Stress tests of the exact hull engine against independent references."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -110,9 +111,50 @@ class TestEngineAgainstQhull:
             assert hull_data_int(shuffled, 4).volume() == vol0
 
     def test_big_coordinates_fall_back_exactly(self):
-        # Coordinates past the float filter's comfort zone must still work.
+        # Coordinates far beyond double precision must still work exactly.
         big = 10 ** 40
         pts = [(0, 0, 0), (big, 0, 0), (0, big, 0), (0, 0, big), (big, big, big)]
         data = hull_data_int(pts, 3)
         # Corner simplex (b^3/6) glued to the far tetrahedron (b^3/3).
         assert data.volume() == F(big ** 3, 2)
+
+
+def test_points_on_the_boundary_are_not_inserted():
+    # The face centre lies on the hyperplane z = 0 of facets built before it.
+    corners = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    data = hull_data_int(corners + [(1, 1, 0)], 3)
+    assert 8 not in data.boundary_vertex_indices()
+    assert data.vertex_indices() == list(range(8))
+    assert data.volume() == 8
+
+
+def boundary_complex_cases():
+    rng = random.Random(2718)
+    for dim in (3, 4, 5, 6):
+        for _ in range(8):
+            yield [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(dim + rng.randint(1, 12))], dim
+    yield [(x, y, z) for x in range(3) for y in range(3) for z in range(3)], 3
+    yield [(x, y, x * x + y * y) for x in range(-2, 3) for y in range(-2, 3)], 3
+    yield [(x, y, z, x * x + y * y + z * z) for x in range(-1, 2) for y in range(-1, 2) for z in range(-1, 2)], 4
+
+
+def test_boundary_complex_invariants():
+    checked = 0
+    for pts, n in boundary_complex_cases():
+        pts = list(dict.fromkeys(pts))
+        data = hull_data_int(pts, n)
+        if data is None:
+            continue
+        checked += 1
+        ridges = Counter()
+        for verts, nu, c in zip(data.facet_vertices, data.normals, data.offsets):
+            assert len(set(verts)) == n
+            assert gcd(*nu, c) == 1
+            for i in verts:
+                assert sum(a * b for a, b in zip(nu, pts[i])) == c
+            for p in pts:
+                assert sum(a * b for a, b in zip(nu, p)) <= c
+            for k in range(n):
+                ridges[verts[:k] + verts[k + 1 :]] += 1
+        assert set(ridges.values()) == {2}
+    assert checked >= 30

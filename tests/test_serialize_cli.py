@@ -154,6 +154,7 @@ class TestCli:
 
     def test_malformed_json_exit_2(self):
         body = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+        segment_mv = {"kind": "mv", "degree": 1, "bodies": [{"dim": 2, "vertices": [[0, 0], [1, 0]]}]}
 
         def evaluate(term):
             return ["evaluate", json.dumps({"valuation": {"dim": 2, "terms": [term]}, "body": body})]
@@ -166,11 +167,19 @@ class TestCli:
             evaluate({"kind": "product", "right": {"kind": "euler"}}),
             evaluate({"kind": "mv", "degree": "x", "bodies": [body]}),
             ["mixed-volume", json.dumps({"bodies": 5})],
+            ["symbol", json.dumps({"valuation": {"dim": 2, "terms": [segment_mv]}, "level": 1,
+                                   "points": [[0.5, 0], [1, 0], [0, 1]]})],
         ]
         for command, payload in cases:
             proc = run_cli([command, "--input", payload])
             assert proc.returncode == 2, payload
             assert "error" in json.loads(proc.stdout)
+
+    def test_import_leaves_numpy_out(self):
+        code = "import sys, valgebra; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_dimension_mismatch_exit_2(self):
         payload = json.dumps(
