@@ -252,17 +252,6 @@ def contains(P: Polytope, Q: Polytope) -> bool:
     return all(contains_point(P, v) for v in Q.vertices)
 
 
-def triangulation(P: Polytope) -> list[tuple[Point, ...]]:
-    """Fan triangulation into full-dimensional simplices (empty if flat)."""
-    data = _hull_data_of(P)
-    if data is None:
-        return []
-    out = []
-    for s in data.fan_triangulation():
-        out.append(tuple(tuple(Fraction(c, data.scale) for c in data.points[i]) for i in s))
-    return out
-
-
 def _proj_to_affine_hull(p: Point, verts: list[Point]) -> tuple[Fraction, bool]:
     """Squared distance from p to its orthogonal projection onto aff(verts),
     and whether that projection lies in conv(verts); verts must be affinely

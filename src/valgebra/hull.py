@@ -64,15 +64,19 @@ class HullData:
         return all(sum(a * b for a, b in zip(nu, x)) * self.scale <= c for nu, c in zip(self.normals, self.offsets))
 
     def fan_triangulation(self) -> list[tuple[int, ...]]:
-        """Simplices coning the lexicographically smallest boundary vertex."""
+        """Simplices coning the lexicographically smallest boundary vertex.
+
+        Facets whose hyperplane holds the apex would give flat simplices and
+        are skipped; the cones over the other facets tile the hull.
+        """
         if self._simplices is None:
-            bverts = self.boundary_vertex_indices()
-            apex = min(bverts, key=lambda i: self.points[i])
-            simplices = []
-            for verts in self.facet_vertices:
-                if apex not in verts:
-                    simplices.append(verts + (apex,))
-            self._simplices = simplices
+            apex = min(self.boundary_vertex_indices(), key=lambda i: self.points[i])
+            q = self.points[apex]
+            self._simplices = [
+                verts + (apex,)
+                for verts, nu, c in zip(self.facet_vertices, self.normals, self.offsets)
+                if sum(map(mul, nu, q)) != c
+            ]
         return self._simplices
 
     def det_sum(self) -> int:

@@ -27,16 +27,8 @@ class Interval:
         x = as_scalar(x)
         return Interval(x, x)
 
-    @staticmethod
-    def of(a, b) -> "Interval":
-        a, b = as_scalar(a), as_scalar(b)
-        return Interval(min(a, b), max(a, b))
-
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, x) -> bool:
         x = as_scalar(x) if not isinstance(x, float) else Fraction(x)
@@ -66,11 +58,6 @@ class Interval:
             raise ZeroDivisionError("interval divisor straddles zero")
         quots = [self.lo / other.lo, self.lo / other.hi, self.hi / other.lo, self.hi / other.hi]
         return Interval(min(quots), max(quots))
-
-    def scale(self, c) -> "Interval":
-        c = as_scalar(c)
-        a, b = c * self.lo, c * self.hi
-        return Interval(min(a, b), max(a, b))
 
     def as_floats(self) -> tuple[float, float]:
         return float(self.lo), float(self.hi)

@@ -110,31 +110,28 @@ def mixed_volume(bodies) -> Fraction:
 
 
 def mixed_derivative_coefficient(
-    base: Polytope | None,
+    base: Polytope,
     slack: list[Polytope],
     n: int,
     density: Polynomial | None = None,
 ) -> Fraction:
     """d^s/(dlam_1 ... dlam_s) at 0 of measure(base + sum lam_j slack_j).
 
-    With no density this equals n!/(n-s)! times the mixed volume with the
-    base repeated n-s times, computed by polarization.  With a density the
-    grouped Minkowski polynomial is interpolated and the mixed coefficient
-    extracted with multiplicity factorials.
+    With no density, or a constant one c, this equals (c times) n!/(n-s)!
+    times the mixed volume with the base repeated n-s times, computed by
+    polarization.  With a nonconstant density the grouped Minkowski
+    polynomial is interpolated and the mixed coefficient extracted with
+    multiplicity factorials.
     """
     s = len(slack)
-    if s > n + (density.degree() if density is not None else 0):
+    d = density.degree() if density is not None else 0
+    if s > n + d:
         return Fraction(0)
     groups, _ = _group_bodies(slack)
-    if density is None:
-        if s > n:
-            return Fraction(0)
-        full = ([(base, n - s)] if base is not None and n - s > 0 else []) + groups
-        if sum(m for _, m in full) != n:
-            # base absent but needed: the coefficient involves vol of a
-            # lower-dimensional combination, which is zero.
-            return Fraction(0)
-        return Fraction(factorial(n), factorial(n - s)) * mixed_volume_grouped(full, n)
+    if d == 0:
+        c = density.coefficient((0,) * n) if density is not None else 1
+        full = ([(base, n - s)] if n > s else []) + groups
+        return c * Fraction(factorial(n), factorial(n - s)) * mixed_volume_grouped(full, n)
     poly = _grouped_sum_polynomial(base, groups, n, density)
     exp = tuple(m for _, m in groups)
     coef = poly.coefficient(exp)
@@ -144,7 +141,7 @@ def mixed_derivative_coefficient(
 
 
 def _grouped_sum_polynomial(
-    base: Polytope | None,
+    base: Polytope,
     groups: list[tuple[Polytope, int]],
     n: int,
     density: Polynomial | None,
@@ -157,7 +154,7 @@ def _grouped_sum_polynomial(
 
     def build(axis: int, coeffs: list[Fraction]):
         if axis == len(groups):
-            parts = [(base, Fraction(1))] if base is not None else []
+            parts = [(base, Fraction(1))]
             parts += [(rep, c) for (rep, _), c in zip(groups, coeffs)]
             return _combo_measure(parts, n, density)
         return [build(axis + 1, coeffs + [Fraction(k)]) for k in range(degs[axis] + 1)]

@@ -1,16 +1,19 @@
 """Sparse multivariate polynomials over Fractions and exact integration.
 
-Monomial integrals over simplices use barycentric substitution and the
-Dirichlet integral, so every polytope integral in the package is an exact
-rational number.  No quadrature anywhere.
+A polynomial is integrated over a simplex by the Grundmann-Moeller cubature,
+whose rational nodes and rational weights make it exact for every degree it
+is built for, so every polytope integral in the package is an exact rational
+number.  Polytopes are integrated simplex by simplex over the fan
+triangulation of their hull.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, lcm
 
-from .geometry import Polytope, as_scalar, triangulation
+from .geometry import Polytope, as_scalar
 from .intlinalg import bareiss_det, scale_to_ints
 
 
@@ -163,52 +166,56 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def _dirichlet_monomial(exp: tuple[int, ...]) -> Fraction:
-    """Integral of u^exp over the standard simplex in len(exp) variables."""
-    n = len(exp)
-    num = 1
-    for e in exp:
-        num *= factorial(e)
-    return Fraction(num, factorial(n + sum(exp)))
-
-
 def integrate_simplex(vertices, f: Polynomial) -> Fraction:
-    """Exact integral of f over the simplex with the given n+1 vertices."""
+    """Exact integral of f over the simplex with the given n+1 vertices.
+
+    Grundmann-Moeller cubature of index s = deg(f) // 2, exact up to degree
+    2s + 1: level i weighs (-1)^i m^(2s+1) / (4^s i! (2s+1+n-i)!) on the nodes
+    sum_j (2 b_j + 1) p_j / m, m = 2s+1+n-2i, for every b in N^(n+1) with
+    |b| = s - i.  The weights sum the integral over the standard simplex, so
+    the total is scaled by |det| of the edge vectors.  Nodes are kept as
+    integer numerators over the common denominator m * den.
+    """
     verts = [tuple(as_scalar(c) for c in v) for v in vertices]
     n = len(verts[0]) if verts else 0
     if len(verts) != n + 1:
         raise ValueError("a simplex in dimension n needs exactly n+1 vertices")
     if f.num_vars != n:
         raise ValueError("density variable count must match the dimension")
-    base = verts[0]
-    cols = [tuple(v[i] - base[i] for i in range(n)) for v in verts[1:]]
-    int_cols, den = scale_to_ints(cols)
-    det = Fraction(bareiss_det(int_cols), den ** n)
+    pts, den = scale_to_ints(verts)
+    det = abs(bareiss_det([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]))
     if det == 0:
         return Fraction(0)
-    # x_i = base_i + sum_j cols[j][i] * u_j
-    reps = []
-    for i in range(n):
-        p = Polynomial.constant(n, base[i])
-        for j in range(n):
-            if cols[j][i]:
-                p = p + Polynomial.variable(n, j).scale(cols[j][i])
-        reps.append(p)
-    g = f.substitute(reps)
+    deg = f.degree()
+    s = deg // 2
+    cden = lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(exp, sum(exp), int(c * cden)) for exp, c in f.terms.items()]
+    # sum_j (2 b_j + 1) p_j is the corner sum plus twice the sum over the
+    # multiset in which vertex j appears b_j times.
+    corner_sum = [sum(col) for col in zip(*pts)]
     total = Fraction(0)
-    for exp, coef in g.terms.items():
-        total += coef * _dirichlet_monomial(exp)
-    return abs(det) * total
+    for i in range(s + 1):
+        m = 2 * s + 1 + n - 2 * i
+        node_den = m * den
+        acc = 0
+        for multiset in combinations_with_replacement(pts, s - i):
+            node = [a + 2 * sum(p[k] for p in multiset) for k, a in enumerate(corner_sum)]
+            for exp, d, c in terms:
+                v = c * node_den ** (deg - d)
+                for x, e in zip(node, exp):
+                    if e:
+                        v *= x**e
+                acc += v
+        weight = Fraction((-1) ** i * m ** (2 * s + 1), 4**s * factorial(i) * factorial(2 * s + 1 + n - i))
+        total += weight * Fraction(acc, node_den**deg)
+    return total * Fraction(det, cden * den**n)
 
 
 def integrate(P: Polytope, f: Polynomial) -> Fraction:
     """Exact integral of the polynomial density f over the polytope."""
     if f.num_vars != P.dim:
         raise ValueError("density variable count must match the ambient dimension")
-    total = Fraction(0)
-    for simplex in triangulation(P):
-        total += integrate_simplex(simplex, f)
-    return total
+    return integrate_points(P.vertices, P.dim, f)
 
 
 def integrate_points(points, n: int, f: Polynomial) -> Fraction:

@@ -119,7 +119,7 @@ class PDGenerator:
         )
 
     def homogeneity(self) -> int | None:
-        if _constant_of(self.density) is None:
+        if self.density.degree() > 0:
             return None
         return self.dim - len(self.slack)
 
@@ -282,16 +282,6 @@ def evaluate(v, K: Polytope) -> Fraction:
     return v.evaluate(K)
 
 
-def _constant_of(p: Polynomial) -> Fraction | None:
-    if not p.terms:
-        return Fraction(0)
-    if len(p.terms) == 1:
-        (exp, coef), = p.terms.items()
-        if all(e == 0 for e in exp):
-            return coef
-    return None
-
-
 @lru_cache(maxsize=16384)
 def _cached_mv_value(dim: int, degree: int, bodies: tuple, K: Polytope) -> Fraction:
     groups, _ = _group_bodies(list(bodies))
@@ -302,9 +292,6 @@ def _cached_mv_value(dim: int, degree: int, bodies: tuple, K: Polytope) -> Fract
 
 @lru_cache(maxsize=16384)
 def _cached_pd_value(dim: int, density: Polynomial, slack: tuple, K: Polytope) -> Fraction:
-    c = _constant_of(density)
-    if c is not None:
-        return c * mixed_derivative_coefficient(K, list(slack), dim, None)
     return mixed_derivative_coefficient(K, list(slack), dim, density)
 
 
@@ -372,22 +359,13 @@ def _evaluate_factors_on_diagonal(factors: list[_Factor], K: Polytope, max_inter
     m = len(blocks)
     if m == 0:
         return Fraction(1)
-    if m == 1:
-        f = blocks[0]
-        c = _constant_of(f.density)
-        dens = None if c is not None else f.density
-        val = mixed_derivative_coefficient(K, list(f.slack), n, dens)
-        if c is not None:
-            val *= c
-        return f.prefactor * val
     total = n * m
-    if total > max_internal_dim:
+    if m > 1 and total > max_internal_dim:
         raise CostGuardError(
             f"diagonal evaluation needs internal dimension {total} > guard {max_internal_dim}"
         )
     base = _multi_diagonal(K, m)
     slack: list[Polytope] = []
-    density: Polynomial | None = None
     const = Fraction(1)
     dens_parts: list[Polynomial] = []
     for bi, f in enumerate(blocks):
@@ -398,13 +376,7 @@ def _evaluate_factors_on_diagonal(factors: list[_Factor], K: Polytope, max_inter
     ext = dens_parts[0]
     for p in dens_parts[1:]:
         ext = ext.external_product(p)
-    c = _constant_of(ext)
-    if c is not None:
-        const *= c
-        density = None
-    else:
-        density = ext
-    return const * mixed_derivative_coefficient(base, slack, total, density)
+    return const * mixed_derivative_coefficient(base, slack, total, ext)
 
 
 def diagonal_product_evaluate(g, h, K: Polytope, max_internal_dim: int = DEFAULT_MAX_INTERNAL_DIM) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 
 from valgebra.geometry import hull
 from valgebra.hull import hull_data_int, hull2d_extreme, volume_of_points
+from valgebra.intlinalg import simplex_det
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 
@@ -158,3 +159,14 @@ def test_boundary_complex_invariants():
                 ridges[verts[:k] + verts[k + 1 :]] += 1
         assert set(ridges.values()) == {2}
     assert checked >= 30
+
+
+def test_fan_triangulation_has_no_flat_simplices():
+    # Facets whose hyperplane holds the apex would be coned into flat
+    # simplices; the remaining cones still tile the body.
+    box = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    lift = [(x, y, z, x * x + y * y + z * z) for x in range(-1, 2) for y in range(-1, 2) for z in range(-1, 2)]
+    for pts, n, vol in ((box, 3, 8), (lift, 4, 12)):
+        data = hull_data_int(pts, n)
+        assert all(simplex_det(data.points, s) != 0 for s in data.fan_triangulation())
+        assert data.volume() == vol

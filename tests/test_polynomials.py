@@ -71,6 +71,32 @@ def dirichlet_value(exps):
     return F(num, factorial(n + sum(exps)))
 
 
+def random_polynomial(rng, n, deg):
+    """A few random terms, one of them of total degree exactly deg."""
+    terms = {}
+    for k in range(rng.randint(1, 4)):
+        exp = [0] * n
+        for _ in range(deg if k == 0 else rng.randint(0, deg)):
+            exp[rng.randrange(n)] += 1
+        terms[tuple(exp)] = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    return Polynomial(n, terms)
+
+
+def barycentric_oracle(verts, f):
+    """Pull f back along u -> v0 + sum_j u_j (v_j - v0) and integrate the
+    result over the standard simplex monomial by monomial."""
+    n = len(verts) - 1
+    edges = [[b - a for a, b in zip(verts[0], v)] for v in verts[1:]]
+    reps = []
+    for i in range(n):
+        p = Polynomial.constant(n, verts[0][i])
+        for j in range(n):
+            p = p + Polynomial.variable(n, j).scale(edges[j][i])
+        reps.append(p)
+    pulled = f.substitute(reps)
+    return abs(leibniz_det(edges)) * sum((c * dirichlet_value(e) for e, c in pulled.terms.items()), F(0))
+
+
 class TestSimplexIntegration:
     def test_constant_over_triangle(self):
         verts = list(standard_simplex(2).vertices)
@@ -107,6 +133,47 @@ class TestSimplexIntegration:
     def test_wrong_vertex_count(self):
         with pytest.raises(ValueError):
             integrate_simplex([(0, 0), (1, 0)], X)
+
+    def test_matches_barycentric_oracle(self, rng):
+        # Degrees 0..7 cover the cubature index s = 0..3 in every dimension;
+        # every third simplex of dimension 2 or more is flat.
+        flat = 0
+        for case in range(100):
+            n = case % 5 + 1
+            deg = case // 5 % 8
+            verts = rational_points(rng, n + 1, n)
+            if case % 3 == 0 and n > 1:
+                verts[-1] = tuple((2 * a + b) / 3 for a, b in zip(verts[0], verts[1]))
+                flat += 1
+            f = random_polynomial(rng, n, deg)
+            assert integrate_simplex(verts, f) == barycentric_oracle(verts, f)
+        assert flat >= 20
+
+    def test_matches_sympy_on_clockwise_triangles(self, rng):
+        from sympy import Rational, symbols
+        from sympy.geometry import Point, Polygon
+        from sympy.integrals.intpoly import polytope_integrate
+
+        def q(v):
+            return Rational(v.numerator, v.denominator)
+
+        x, y = symbols("x y")
+        checked = 0
+        while checked < 12:
+            a, b, c = rational_points(rng, 3, 2)
+            turn = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            if turn == 0:
+                continue
+            if turn > 0:
+                b, c = c, b
+            f = random_polynomial(rng, 2, checked % 6)
+            expr = sum(q(coef) * x ** e[0] * y ** e[1] for e, coef in f.terms.items())
+            corners = [Point(q(p[0]), q(p[1])) for p in (a, b, c)]
+            want = polytope_integrate(Polygon(*corners), expr)
+            assert integrate_simplex([a, b, c], f) == F(int(want.p), int(want.q))
+            # Counter-clockwise input flips the sign of the reference value.
+            assert polytope_integrate(Polygon(*reversed(corners)), expr) == -want
+            checked += 1
 
 
 class TestPolytopeIntegration:

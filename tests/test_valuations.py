@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -65,6 +65,17 @@ class TestEvaluate:
         g = PDGenerator(2, X2, (unit_cube(2),))
         assert g.evaluate(unit_cube(2)) == F(3, 2)
 
+    def test_constant_density_is_a_mixed_volume(self, rng):
+        # d^s/dl at 0 of c vol(K + sum l_j A_j) is c n!/i! V(K[i], A_1, ...).
+        for n in (2, 3):
+            K = rand_poly(rng, n, n + 3)
+            bodies = tuple(rand_poly(rng, n, n + 2) for _ in range(n))
+            c = F(-7, 3)
+            for i in range(n + 1):
+                pd = PDGenerator(n, Polynomial.constant(n, c), bodies[: n - i])
+                mv = MVGenerator(n, i, bodies[: n - i])
+                assert pd.evaluate(K) == c * F(factorial(n), factorial(i)) * mv.evaluate(K)
+
     def test_mv_degree_zero_is_constant(self, rng):
         A, B = rand_poly(rng), rand_poly(rng)
         g = MVGenerator(2, 0, (A, B))
@@ -114,6 +125,16 @@ class TestDiagonalRoute:
         K = rand_poly(rng)
         psi = MVGenerator(2, 1, (unit_cube(2),))
         assert diagonal_product_evaluate(euler(2), psi, K) == psi.evaluate(K)
+
+    def test_single_factor_after_unit_factors(self, rng):
+        # Unit factors flatten away, leaving one block on the diagonal of K
+        # itself; the cost guard does not apply to a single block.
+        A, K = rand_poly(rng), rand_poly(rng)
+        unit = ProductGenerator(2, euler(2), euler(2))
+        psi = MVGenerator(2, 1, (A,))
+        assert diagonal_product_evaluate(unit, psi, K) == psi.evaluate(K)
+        pd = PDGenerator(2, X2 * X2, (A,))
+        assert diagonal_product_evaluate(unit, pd, K, max_internal_dim=1) == pd.evaluate(K)
 
     def test_degree_overflow_zero(self, rng):
         K = rand_poly(rng)
