@@ -12,16 +12,13 @@ from math import lcm
 
 
 def scale_to_ints(points) -> tuple[list[tuple[int, ...]], int]:
-    """Clear denominators with one common scale for the whole point set."""
-    den = 1
-    for p in points:
-        for c in p:
-            if isinstance(c, Fraction) and c.denominator != 1:
-                den = lcm(den, c.denominator)
-    out = []
-    for p in points:
-        out.append(tuple(int(c * den) for c in p))
-    return out, den
+    """Clear denominators with one common scale for the whole point set.
+
+    Coordinates are ints or Fractions; both carry `numerator` and
+    `denominator`, so the scaling is integer arithmetic only.
+    """
+    den = lcm(*{c.denominator for p in points for c in p})
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
 
 
 def bareiss_det(rows) -> int:

@@ -3,8 +3,9 @@
 A polynomial is integrated over a simplex by the Grundmann-Moeller cubature,
 whose rational nodes and rational weights make it exact for every degree it
 is built for, so every polytope integral in the package is an exact rational
-number.  Polytopes are integrated simplex by simplex over the fan
-triangulation of their hull.
+number.  A polytope is integrated over the fan triangulation of its hull as
+one integer sum per cubature level, taken over the hull's integer points;
+each level becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from .geometry import Polytope, as_scalar
-from .intlinalg import bareiss_det, scale_to_ints
+from .hull import hull_data
+from .intlinalg import scale_to_ints, simplex_det
 
 
 class Polynomial:
@@ -166,15 +168,74 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+def _gm_levels(n: int, deg: int) -> tuple[tuple[int, Fraction, tuple[tuple[int, ...], ...]], ...]:
+    """Grundmann-Moeller levels exact for degree deg over an n-simplex.
+
+    The index s = deg // 2 makes the rule exact up to degree 2s + 1.  Level
+    i = 0..s weighs (-1)^i m^(2s+1) / (4^s i! (2s+1+n-i)!) on the nodes
+    sum_j (2 b_j + 1) p_j / m, m = 2s+1+n-2i, for every b in N^(n+1) with
+    |b| = s - i; the weights sum the integral over the standard simplex.  A
+    level is (m, weight, multisets), where a multiset lists vertex j b_j times.
+    """
+    s = deg // 2
+    levels = []
+    for i in range(s + 1):
+        m = 2 * s + 1 + n - 2 * i
+        weight = Fraction((-1) ** i * m ** (2 * s + 1), 4**s * factorial(i) * factorial(2 * s + 1 + n - i))
+        levels.append((m, weight, tuple(combinations_with_replacement(range(n + 1), s - i))))
+    return tuple(levels)
+
+
+def _fan_integral(points, scale: int, simplices, f: Polynomial) -> Fraction:
+    """Integral of f over simplices on integer points divided by scale.
+
+    Each simplex is weighed by |det| of its edge vectors in the integer
+    coordinates.  Node numerators are integers over the level's denominator
+    m * scale and f's coefficients share one denominator, so every level is
+    one Python int summed over all simplices, and one Fraction per level
+    ends the sum.
+    """
+    n = f.num_vars
+    deg = f.degree()
+    levels = _gm_levels(n, deg)
+    cden = lcm(*(c.denominator for c in f.terms.values()))
+    # Per level, each term's integer coefficient is padded to degree deg so
+    # that every term shares the denominator (m * scale)^deg.
+    level_terms = [
+        [
+            (int(c * cden) * (m * scale) ** (deg - sum(exp)), [(k, e) for k, e in enumerate(exp) if e])
+            for exp, c in f.terms.items()
+        ]
+        for m, _, _ in levels
+    ]
+    accs = [0] * len(levels)
+    for simplex in simplices:
+        det = abs(simplex_det(points, simplex))
+        corners = [points[j] for j in simplex]
+        # sum_j (2 b_j + 1) p_j is the corner sum plus twice the multiset sum.
+        corner_sum = [sum(col) for col in zip(*corners)]
+        twice = [[2 * x for x in p] for p in corners]
+        for li, (_, _, multisets) in enumerate(levels):
+            terms = level_terms[li]
+            acc = 0
+            for multiset in multisets:
+                node = corner_sum
+                for j in multiset:
+                    node = [a + b for a, b in zip(node, twice[j])]
+                for v, factors in terms:
+                    for k, e in factors:
+                        v *= node[k] ** e
+                    acc += v
+            accs[li] += det * acc
+    total = sum(weight * Fraction(acc, (m * scale) ** deg) for (m, weight, _), acc in zip(levels, accs))
+    return total / (cden * scale**n)
+
+
 def integrate_simplex(vertices, f: Polynomial) -> Fraction:
     """Exact integral of f over the simplex with the given n+1 vertices.
 
-    Grundmann-Moeller cubature of index s = deg(f) // 2, exact up to degree
-    2s + 1: level i weighs (-1)^i m^(2s+1) / (4^s i! (2s+1+n-i)!) on the nodes
-    sum_j (2 b_j + 1) p_j / m, m = 2s+1+n-2i, for every b in N^(n+1) with
-    |b| = s - i.  The weights sum the integral over the standard simplex, so
-    the total is scaled by |det| of the edge vectors.  Nodes are kept as
-    integer numerators over the common denominator m * den.
+    The vertices are cleared to integers once and the simplex goes through
+    the same Grundmann-Moeller sum as a whole fan (`_fan_integral`).
     """
     verts = [tuple(as_scalar(c) for c in v) for v in vertices]
     n = len(verts[0]) if verts else 0
@@ -183,51 +244,23 @@ def integrate_simplex(vertices, f: Polynomial) -> Fraction:
     if f.num_vars != n:
         raise ValueError("density variable count must match the dimension")
     pts, den = scale_to_ints(verts)
-    det = abs(bareiss_det([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]))
-    if det == 0:
-        return Fraction(0)
-    deg = f.degree()
-    s = deg // 2
-    cden = lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(exp, sum(exp), int(c * cden)) for exp, c in f.terms.items()]
-    # sum_j (2 b_j + 1) p_j is the corner sum plus twice the sum over the
-    # multiset in which vertex j appears b_j times.
-    corner_sum = [sum(col) for col in zip(*pts)]
-    total = Fraction(0)
-    for i in range(s + 1):
-        m = 2 * s + 1 + n - 2 * i
-        node_den = m * den
-        acc = 0
-        for multiset in combinations_with_replacement(pts, s - i):
-            node = [a + 2 * sum(p[k] for p in multiset) for k, a in enumerate(corner_sum)]
-            for exp, d, c in terms:
-                v = c * node_den ** (deg - d)
-                for x, e in zip(node, exp):
-                    if e:
-                        v *= x**e
-                acc += v
-        weight = Fraction((-1) ** i * m ** (2 * s + 1), 4**s * factorial(i) * factorial(2 * s + 1 + n - i))
-        total += weight * Fraction(acc, node_den**deg)
-    return total * Fraction(det, cden * den**n)
+    return _fan_integral(pts, den, [tuple(range(n + 1))], f)
 
 
 def integrate(P: Polytope, f: Polynomial) -> Fraction:
     """Exact integral of the polynomial density f over the polytope."""
-    if f.num_vars != P.dim:
-        raise ValueError("density variable count must match the ambient dimension")
     return integrate_points(P.vertices, P.dim, f)
 
 
 def integrate_points(points, n: int, f: Polynomial) -> Fraction:
-    """Integral of f over the hull of raw candidate points."""
-    from .hull import hull_data
+    """Integral of f over the hull of raw candidate points.
 
-    pts = [tuple(as_scalar(c) for c in p) for p in points]
-    data = hull_data(pts, n)
+    One Grundmann-Moeller sum runs over the fan triangulation of the hull,
+    on the hull's integer points.
+    """
+    if f.num_vars != n:
+        raise ValueError("density variable count must match the ambient dimension")
+    data = hull_data([tuple(as_scalar(c) for c in p) for p in points], n)
     if data is None:
         return Fraction(0)
-    total = Fraction(0)
-    for s in data.fan_triangulation():
-        verts = [tuple(Fraction(c, data.scale) for c in data.points[i]) for i in s]
-        total += integrate_simplex(verts, f)
-    return total
+    return _fan_integral(data.points, data.scale, data.fan_triangulation(), f)

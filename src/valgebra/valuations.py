@@ -357,8 +357,6 @@ def _evaluate_factors_on_diagonal(factors: list[_Factor], K: Polytope, max_inter
     n = K.dim
     blocks = list(factors)
     m = len(blocks)
-    if m == 0:
-        return Fraction(1)
     total = n * m
     if m > 1 and total > max_internal_dim:
         raise CostGuardError(

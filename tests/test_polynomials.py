@@ -5,9 +5,10 @@ from math import factorial
 import pytest
 
 from valgebra.geometry import hull, translate, scale, volume
+from valgebra.hull import hull_data
 from valgebra.interp import tensor_interpolate, univariate_coeffs
 from valgebra.intlinalg import bareiss_det, scale_to_ints, solve
-from valgebra.polynomials import Polynomial, integrate, integrate_simplex
+from valgebra.polynomials import Polynomial, integrate, integrate_points, integrate_simplex
 from valgebra.samples import standard_simplex, unit_cube
 
 from conftest import rational_points
@@ -224,6 +225,45 @@ class TestPolytopeIntegration:
                 ]
                 total += integrate_simplex(simplex, f)
             assert total == direct
+
+
+class TestFanIntegration:
+    """integrate_points sums the whole fan at once on the hull's integer points."""
+
+    def test_equals_sum_over_fan_simplices(self, rng):
+        # Coordinates in sixths make the hull's scale exceed 1, and the factor
+        # 2/7 gives every density a non-unit coefficient denominator.
+        for case in range(24):
+            n = case % 4 + 2
+            deg = case % 6
+            pts = rational_points(rng, n + 4, n, denom=6)
+            data = hull_data(pts, n)
+            assert data.scale > 1
+            f = random_polynomial(rng, n, deg).scale(F(2, 7))
+            by_simplex = sum(
+                (
+                    integrate_simplex([tuple(F(c, data.scale) for c in data.points[i]) for i in s], f)
+                    for s in data.fan_triangulation()
+                ),
+                F(0),
+            )
+            assert integrate_points(pts, n, f) == by_simplex
+
+    def test_constant_density_gives_volume(self, rng):
+        for n in (3, 4):
+            for _ in range(5):
+                pts = rational_points(rng, n + 5, n)
+                assert integrate_points(pts, n, Polynomial.constant(n, 1)) == hull_data(pts, n).volume()
+
+    def test_zero_density_and_flat_points(self, rng):
+        pts = rational_points(rng, 8, 3)
+        assert integrate_points(pts, 3, Polynomial(3)) == 0
+        flat = [(x, y, x - 2 * y) for x, y, _ in pts]
+        assert integrate_points(flat, 3, Polynomial.constant(3, 1) + Polynomial.variable(3, 0)) == 0
+
+    def test_density_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            integrate_points([(0, 0), (1, 0), (0, 1)], 2, Polynomial.constant(3, 1))
 
 
 def leibniz_det(m):
