@@ -3,11 +3,22 @@
 The engine works on integer coordinates (callers clear denominators first)
 and runs an incremental beneath-beyond construction that maintains a
 triangulated boundary complex with exact integer hyperplanes.  A facet (ν, c)
-is visible from a point q iff ν·q − c > 0, one exact integer test over the
-live facets: points on a facet's hyperplane are not beyond it, so points of
-the closed hull are never inserted and coplanar facets are never rebuilt.
-Every sign is decided in integer arithmetic, so results are exact for
-arbitrary inputs.
+is visible from a point q iff ν·q − c > 0: points on a facet's hyperplane are
+not beyond it, so points of the closed hull are never inserted and coplanar
+facets are never rebuilt.  Every sign is decided in integer arithmetic, so
+results are exact for arbitrary inputs.
+
+Each uninserted point keeps one facet it lies strictly beyond, its conflict
+facet (the outside sets of Quickhull, Barber, Dobkin & Huhdanpaa 1996).  An
+insertion finds the visible facets by walking across ridges from that facet,
+since the visible region is connected.  The points of a dead facet are
+tested only against the facets that the insertion creates; a point beyond
+none of them lies in the new hull and is dropped.
+
+Each facet also keeps an integer multiplier k: the cofactor normal of its
+vertices (the normal `hyperplane_through` returns) is ±k·ν.  The cone over a
+facet from an apex then has |det| = k·(c − ν·apex), so fan volumes need no
+determinant.
 
 Degenerate inputs (affine dimension below the ambient one) are reported as
 such; callers decide how to project.
@@ -21,12 +32,16 @@ from itertools import count
 from math import factorial, gcd
 from operator import mul
 
-from .intlinalg import hyperplane_through, independent_rows, scale_to_ints, simplex_det
+from .intlinalg import hyperplane_through, independent_rows, scale_to_ints
 
 
 @dataclass
 class HullData:
-    """Facet complex of a full-dimensional hull over scaled integer points."""
+    """Facet complex of a full-dimensional hull over scaled integer points.
+
+    `multipliers[i]` is the k with cofactor normal ±k·`normals[i]` of
+    `facet_vertices[i]`.
+    """
 
     dim: int
     points: list[tuple[int, ...]]
@@ -34,8 +49,8 @@ class HullData:
     facet_vertices: list[tuple[int, ...]]
     normals: list[tuple[int, ...]]
     offsets: list[int]
-    _det_sum: int | None = field(default=None, repr=False)
-    _simplices: list[tuple[int, ...]] | None = field(default=None, repr=False)
+    multipliers: list[int]
+    _fan: tuple[list[tuple[int, ...]], list[int]] | None = field(default=None, repr=False)
 
     def boundary_vertex_indices(self) -> list[int]:
         seen = set()
@@ -63,56 +78,58 @@ class HullData:
         """True iff the point x, in unscaled coordinates, lies in the hull."""
         return all(sum(a * b for a, b in zip(nu, x)) * self.scale <= c for nu, c in zip(self.normals, self.offsets))
 
+    def _fan_of_apex(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        if self._fan is None:
+            apex = min(self.boundary_vertex_indices(), key=lambda i: self.points[i])
+            q = self.points[apex]
+            simplices = []
+            dets = []
+            for verts, nu, c, k in zip(self.facet_vertices, self.normals, self.offsets, self.multipliers):
+                h = c - sum(map(mul, nu, q))
+                if h:
+                    simplices.append(verts + (apex,))
+                    dets.append(k * h)
+            self._fan = simplices, dets
+        return self._fan
+
     def fan_triangulation(self) -> list[tuple[int, ...]]:
         """Simplices coning the lexicographically smallest boundary vertex.
 
         Facets whose hyperplane holds the apex would give flat simplices and
         are skipped; the cones over the other facets tile the hull.
         """
-        if self._simplices is None:
-            apex = min(self.boundary_vertex_indices(), key=lambda i: self.points[i])
-            q = self.points[apex]
-            self._simplices = [
-                verts + (apex,)
-                for verts, nu, c in zip(self.facet_vertices, self.normals, self.offsets)
-                if sum(map(mul, nu, q)) != c
-            ]
-        return self._simplices
+        return self._fan_of_apex()[0]
 
-    def det_sum(self) -> int:
-        if self._det_sum is None:
-            total = 0
-            for s in self.fan_triangulation():
-                total += abs(simplex_det(self.points, s))
-            self._det_sum = total
-        return self._det_sum
+    def fan_dets(self) -> list[int]:
+        """|det| of each fan simplex's edge vectors, k·(c − ν·apex)."""
+        return self._fan_of_apex()[1]
 
     def volume(self) -> Fraction:
         n = self.dim
-        return Fraction(self.det_sum(), factorial(n) * self.scale ** n)
+        return Fraction(sum(self.fan_dets()), factorial(n) * self.scale ** n)
+
 
 class _Incremental:
     def __init__(self, pts: list[tuple[int, ...]], n: int):
         self.pts = pts
         self.n = n
-        # Live facets only: fid -> (vertices, outward normal, offset).
-        self.facets: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-        self.ridges: dict[tuple[int, ...], list[int]] = {}
+        # Live facets only, in creation order: fid -> (vertices, outward
+        # normal, offset, multiplier, neighbours, outside set).  neighbours[j]
+        # is the facet across the ridge without vertices[j]; the outside set
+        # holds the uninserted points whose conflict facet this is.
+        self.facets: dict[int, tuple] = {}
+        # Point index -> its conflict facet, None once it is known to be inside.
+        self.conflict: list[int | None] = [None] * len(pts)
         self.fids = count()
         self.ref: tuple[int, ...] | None = None
 
-    def _add_facet_oriented(self, verts: tuple[int, ...], nu: tuple[int, ...], c: int):
-        g = gcd(*nu, c)
-        if g > 1:
-            nu = tuple(x // g for x in nu)
-            c = c // g
+    def _new_facet(self, verts: tuple[int, ...], nu: tuple[int, ...], c: int, k: int) -> int:
+        """Store a facet whose hyperplane, gcd(ν, c) = 1, is already reduced."""
         fid = next(self.fids)
-        self.facets[fid] = (verts, nu, c)
-        for k in range(self.n):
-            ridge = verts[:k] + verts[k + 1 :]
-            self.ridges.setdefault(ridge, []).append(fid)
+        self.facets[fid] = (verts, nu, c, k, [None] * self.n, [])
+        return fid
 
-    def _add_facet(self, verts: tuple[int, ...]):
+    def _add_facet(self, verts: tuple[int, ...]) -> int:
         nu, c = hyperplane_through(self.pts, verts)
         if all(x == 0 for x in nu):
             raise ArithmeticError("degenerate facet candidate")
@@ -122,16 +139,44 @@ class _Incremental:
             c = -c
         elif t == 0:
             raise ArithmeticError("orientation reference lies on a facet")
-        self._add_facet_oriented(verts, nu, c)
+        # The cofactor normal is g times the reduced one.
+        g = gcd(*nu, c)
+        return self._new_facet(verts, tuple(x // g for x in nu), c // g, g)
 
-    def _kill_facet(self, fid: int):
-        verts = self.facets.pop(fid)[0]
-        for k in range(self.n):
-            ridge = verts[:k] + verts[k + 1 :]
-            lst = self.ridges[ridge]
-            lst.remove(fid)
-            if not lst:
-                del self.ridges[ridge]
+    def _glue(self, fids: list[int]):
+        """Link the facets fids across the ridges they share with each other.
+
+        Every ridge whose neighbour is still unset must be shared by exactly
+        two of them.
+        """
+        facets = self.facets
+        open_ridges: dict[tuple[int, ...], tuple[int, int]] = {}
+        for fid in fids:
+            verts, _, _, _, nbrs, _ = facets[fid]
+            for j in range(self.n):
+                if nbrs[j] is not None:
+                    continue
+                ridge = verts[:j] + verts[j + 1 :]
+                other = open_ridges.pop(ridge, None)
+                if other is None:
+                    open_ridges[ridge] = fid, j
+                else:
+                    nbrs[j] = other[0]
+                    facets[other[0]][4][other[1]] = fid
+        if open_ridges:
+            raise ArithmeticError("boundary complex lost a ridge neighbor")
+
+    def _assign(self, i: int, fids: list[int]):
+        """Give point i the first of fids it lies strictly beyond, if any."""
+        p = self.pts[i]
+        facets = self.facets
+        for fid in fids:
+            facet = facets[fid]
+            if sum(map(mul, facet[1], p)) > facet[2]:
+                self.conflict[i] = fid
+                facet[5].append(i)
+                return
+        self.conflict[i] = None
 
     def run(self) -> HullData | None:
         n = self.n
@@ -141,13 +186,18 @@ class _Incremental:
             return None
         base = [0] + [i + 1 for i in kept]
         self.ref = tuple(sum(self.pts[i][j] for i in base) for j in range(n))
-        for k in range(n + 1):
-            verts = tuple(sorted(base[:k] + base[k + 1 :]))
-            self._add_facet(verts)
-        rest = [i for i in range(len(self.pts)) if i not in set(base)]
+        initial = [self._add_facet(tuple(sorted(base[:k] + base[k + 1 :]))) for k in range(n + 1)]
+        self._glue(initial)
+        rest = [i for i in range(len(self.pts)) if i not in base]
+        # Far points first; a point whose conflict facet is gone lies in the
+        # hull built so far and is not inserted.
         rest.sort(key=lambda i: -self._far_key(i))
         for qi in rest:
-            self._insert(qi)
+            self._assign(qi, initial)
+        for qi in rest:
+            fid = self.conflict[qi]
+            if fid is not None:
+                self._insert(qi, fid)
         facets = self.facets.values()
         return HullData(
             dim=n,
@@ -156,6 +206,7 @@ class _Incremental:
             facet_vertices=[f[0] for f in facets],
             normals=[f[1] for f in facets],
             offsets=[f[2] for f in facets],
+            multipliers=[f[3] for f in facets],
         )
 
     def _far_key(self, i: int) -> int:
@@ -163,26 +214,35 @@ class _Incremental:
         m = self.n + 1
         return sum((m * a - b) ** 2 for a, b in zip(self.pts[i], self.ref))
 
-    def _insert(self, qi: int):
-        q = self.pts[qi]
-        # A facet is visible iff q lies strictly beyond its hyperplane; a point
-        # in the closed hull sees none and is skipped.
-        d: dict[int, int] = {}
-        for fid, (_, nu, c) in self.facets.items():
-            t = sum(map(mul, nu, q)) - c
-            if t > 0:
-                d[fid] = t
-        if not d:
-            return
+    def _insert(self, qi: int, start: int):
+        pts = self.pts
+        q = pts[qi]
+        facets = self.facets
+        # The facets q lies strictly beyond form a ridge-connected region that
+        # holds its conflict facet.  Walk it, keeping ν·q − c of every facet
+        # met: positive in d (visible), not in beneath (the horizon's far side).
+        _, nu, c, _, _, _ = facets[start]
+        d = {start: sum(map(mul, nu, q)) - c}
+        beneath: dict[int, int] = {}
+        stack = [start]
+        while stack:
+            for g in facets[stack.pop()][4]:
+                if g in d or g in beneath:
+                    continue
+                _, nu_g, c_g, _, _, _ = facets[g]
+                t = sum(map(mul, nu_g, q)) - c_g
+                if t > 0:
+                    d[g] = t
+                    stack.append(g)
+                else:
+                    beneath[g] = t
+        # Visible facets in increasing fid order: the new facets, and so the
+        # facet lists, do not depend on the order of the walk.
         new = []
-        for fid, df in d.items():
-            verts, nu_f, c_f = self.facets[fid]
-            for k in range(self.n):
-                ridge = verts[:k] + verts[k + 1 :]
-                lst = self.ridges[ridge]
-                if len(lst) != 2:
-                    raise ArithmeticError("boundary complex lost a ridge neighbor")
-                g = lst[0] if lst[1] == fid else lst[1]
+        for fid in sorted(d):
+            verts, nu_f, c_f, k_f, nbrs, _ = facets[fid]
+            df = d[fid]
+            for j, g in enumerate(nbrs):
                 if g in d:
                     continue
                 # The new hyperplane lies in the pencil spanned by the two old
@@ -190,14 +250,27 @@ class _Incremental:
                 # contains q and is outward-oriented (both old facets keep the
                 # interior reference strictly below).  When q lies on g's
                 # hyperplane it is g's own.
-                _, nu_g, c_g = self.facets[g]
-                dg = sum(map(mul, nu_g, q)) - c_g
-                nu = tuple(df * y - dg * x for x, y in zip(nu_f, nu_g))
-                new.append((tuple(sorted(ridge + (qi,))), nu, df * c_g - dg * c_f))
+                _, nu_g, c_g, _, nbrs_g, _ = facets[g]
+                dg = beneath[g]
+                nu = [df * y - dg * x for x, y in zip(nu_f, nu_g)]
+                c = df * c_g - dg * c_f
+                G = gcd(*nu, c)
+                # The simplex ridge + (p_f, q) has |det| k_f·df through f and
+                # k·df·|ν_g·p_f − c_g| / G through the new facet, where p_f is
+                # f's vertex off the ridge; p_f is strictly beneath g.
+                k = k_f * G // (c_g - sum(map(mul, nu_g, pts[verts[j]])))
+                new_verts = tuple(sorted(verts[:j] + verts[j + 1 :] + (qi,)))
+                new_fid = self._new_facet(new_verts, tuple([x // G for x in nu]), c // G, k)
+                facets[new_fid][4][new_verts.index(qi)] = g
+                nbrs_g[nbrs_g.index(fid)] = new_fid
+                new.append(new_fid)
+        orphans = []
         for fid in d:
-            self._kill_facet(fid)
-        for verts, nu, c in new:
-            self._add_facet_oriented(verts, nu, c)
+            orphans += facets.pop(fid)[5]
+        self._glue(new)
+        for i in orphans:
+            if i != qi:
+                self._assign(i, new)
 
 
 def _hull_1d(pts: list[tuple[int, ...]]) -> HullData | None:
@@ -214,6 +287,7 @@ def _hull_1d(pts: list[tuple[int, ...]]) -> HullData | None:
         facet_vertices=[(ilo,), (ihi,)],
         normals=[(-1,), (1,)],
         offsets=[-lo, hi],
+        multipliers=[1, 1],
     )
 
 
@@ -272,28 +346,30 @@ def _hull_2d(pts: list[tuple[int, ...]]) -> HullData | None:
         facet_vertices=facet_vertices,
         normals=normals,
         offsets=offsets,
+        multipliers=[1] * m,
     )
 
 
-def hull_data_int(pts: list[tuple[int, ...]], n: int) -> HullData | None:
-    """Facet complex of conv(pts) in dim n; None when not full-dimensional."""
+def hull_data_int(pts: list[tuple[int, ...]], n: int, scale: int = 1) -> HullData | None:
+    """Facet complex of conv(pts / scale) in dim n; None when not full-dimensional."""
     pts = list(dict.fromkeys(pts))
     if not pts:
         raise ValueError("empty point set")
     if n == 1:
-        return _hull_1d(pts)
-    if n == 2:
-        return _hull_2d(pts)
-    return _Incremental(pts, n).run()
+        data = _hull_1d(pts)
+    elif n == 2:
+        data = _hull_2d(pts)
+    else:
+        data = _Incremental(pts, n).run()
+    if data is not None:
+        data.scale = scale
+    return data
 
 
 def hull_data(points, n: int) -> HullData | None:
     """Like hull_data_int but for Fraction coordinates (clears denominators)."""
-    pts_int, den = scale_to_ints(points)
-    data = hull_data_int(pts_int, n)
-    if data is not None:
-        data.scale = den
-    return data
+    pts, den = scale_to_ints(points)
+    return hull_data_int(pts, n, den)
 
 
 def volume_of_points(points, n: int) -> Fraction:

@@ -8,7 +8,7 @@ is first brought to ints by one common denominator.  `bareiss_det` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def scale_to_ints(points) -> tuple[list[tuple[int, ...]], int]:
@@ -72,22 +72,32 @@ def independent_rows(rows, limit: int | None = None) -> tuple[list[int], list[in
     indices of the kept rows and their pivot columns.  The kept rows
     restricted to the pivot columns form a nonsingular triangular matrix, so
     projecting the row span onto the pivot columns is injective.
+
+    The elimination is fraction-free: each row is scaled to ints by its own
+    denominators, a pivot is eliminated by integer cross-multiplication and
+    the row is divided by its gcd.  Every step keeps the row a nonzero
+    multiple of its rational reduction, so the zero pattern, and with it the
+    choice of rows and pivots, is that of rational elimination.
     """
-    kept: list[list[Fraction]] = []
+    kept: list[list[int]] = []
     pivots: list[int] = []
     chosen: list[int] = []
     for i, row in enumerate(rows):
         if len(chosen) == limit:
             break
-        r = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        r = [x.numerator * (den // x.denominator) for x in row]
         for p, k in zip(pivots, kept):
-            if r[p]:
-                f = r[p]
-                r = [a - f * b for a, b in zip(r, k)]
+            a = r[p]
+            if a:
+                b = k[p]
+                r = [b * x - a * y for x, y in zip(r, k)]
+                g = gcd(*r)
+                if g > 1:
+                    r = [x // g for x in r]
         p = next((j for j, x in enumerate(r) if x), None)
         if p is not None:
-            piv = r[p]
-            kept.append([x / piv for x in r])
+            kept.append(r)
             pivots.append(p)
             chosen.append(i)
     return chosen, pivots

@@ -12,19 +12,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .geometry import (
     Polytope,
     affine_dim,
     ball_approx,
-    point_scale,
     unit_segment_ball,
     volume,
 )
-from .hull import volume_of_points
+from .hull import hull_data_int
 from .intervals import Interval
 from .interp import tensor_interpolate
+from .intlinalg import scale_to_ints
 from .polynomials import Polynomial, integrate_points
 
 
@@ -44,29 +44,40 @@ def _group_bodies(bodies) -> tuple[list[tuple[Polytope, int]], list[int]]:
     return groups, slot_map
 
 
-def _combo_candidates(parts: list[tuple[Polytope, Fraction]]) -> list[tuple]:
-    """Vertex candidates of sum of scaled polytopes (no canonicalization)."""
-    vertex_sets = []
+def _combo_candidates(parts: list[tuple[Polytope, Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """Vertex candidates of a sum of scaled polytopes (no canonicalization).
+
+    The candidates are integer points over one common denominator, returned
+    with it; both are the least ones, as `scale_to_ints` would give.
+    """
+    scaled = []
     for body, coef in parts:
         if coef == 0:
             continue
-        vertex_sets.append([point_scale(v, coef) for v in body.vertices])
-    if not vertex_sets:
-        return []
-    out = vertex_sets[0]
-    for vs in vertex_sets[1:]:
-        out = [tuple(a + b for a, b in zip(p, q)) for p in out for q in vs]
-        out = list(dict.fromkeys(out))
-    return out
+        pts, den = scale_to_ints(body.vertices)
+        scaled.append((pts, coef.numerator, coef.denominator * den))
+    if not scaled:
+        return [], 1
+    scale = lcm(*(den for _, _, den in scaled))
+    out = None
+    for pts, num, den in scaled:
+        m = num * (scale // den)
+        vs = [tuple(m * x for x in p) for p in pts]
+        out = vs if out is None else list(dict.fromkeys(tuple(a + b for a, b in zip(p, q)) for p in out for q in vs))
+    g = gcd(scale, *(x for p in out for x in p))
+    if g > 1:
+        out = [tuple(x // g for x in p) for p in out]
+    return out, scale // g
 
 
 def _combo_measure(parts: list[tuple[Polytope, Fraction]], n: int, density: Polynomial | None) -> Fraction:
-    cands = _combo_candidates(parts)
+    cands, scale = _combo_candidates(parts)
     if not cands:
         return Fraction(0)
-    if density is None:
-        return volume_of_points(cands, n)
-    return integrate_points(cands, n, density)
+    if density is not None:
+        return integrate_points(cands, n, density, scale)
+    data = hull_data_int(cands, n, scale)
+    return Fraction(0) if data is None else data.volume()
 
 
 def mixed_volume_grouped(groups: list[tuple[Polytope, int]], n: int) -> Fraction:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from .geometry import Polytope, as_scalar
-from .hull import hull_data
+from .hull import hull_data_int
 from .intlinalg import scale_to_ints, simplex_det
 
 
@@ -186,14 +186,14 @@ def _gm_levels(n: int, deg: int) -> tuple[tuple[int, Fraction, tuple[tuple[int, 
     return tuple(levels)
 
 
-def _fan_integral(points, scale: int, simplices, f: Polynomial) -> Fraction:
+def _fan_integral(points, scale: int, simplices, dets, f: Polynomial) -> Fraction:
     """Integral of f over simplices on integer points divided by scale.
 
-    Each simplex is weighed by |det| of its edge vectors in the integer
-    coordinates.  Node numerators are integers over the level's denominator
-    m * scale and f's coefficients share one denominator, so every level is
-    one Python int summed over all simplices, and one Fraction per level
-    ends the sum.
+    Each simplex is weighed by its entry of dets, |det| of its edge vectors
+    in the integer coordinates.  Node numerators are integers over the
+    level's denominator m * scale and f's coefficients share one
+    denominator, so every level is one Python int summed over all simplices,
+    and one Fraction per level ends the sum.
     """
     n = f.num_vars
     deg = f.degree()
@@ -209,8 +209,7 @@ def _fan_integral(points, scale: int, simplices, f: Polynomial) -> Fraction:
         for m, _, _ in levels
     ]
     accs = [0] * len(levels)
-    for simplex in simplices:
-        det = abs(simplex_det(points, simplex))
+    for simplex, det in zip(simplices, dets):
         corners = [points[j] for j in simplex]
         # sum_j (2 b_j + 1) p_j is the corner sum plus twice the multiset sum.
         corner_sum = [sum(col) for col in zip(*corners)]
@@ -244,7 +243,8 @@ def integrate_simplex(vertices, f: Polynomial) -> Fraction:
     if f.num_vars != n:
         raise ValueError("density variable count must match the dimension")
     pts, den = scale_to_ints(verts)
-    return _fan_integral(pts, den, [tuple(range(n + 1))], f)
+    simplex = tuple(range(n + 1))
+    return _fan_integral(pts, den, [simplex], [abs(simplex_det(pts, simplex))], f)
 
 
 def integrate(P: Polytope, f: Polynomial) -> Fraction:
@@ -252,15 +252,17 @@ def integrate(P: Polytope, f: Polynomial) -> Fraction:
     return integrate_points(P.vertices, P.dim, f)
 
 
-def integrate_points(points, n: int, f: Polynomial) -> Fraction:
-    """Integral of f over the hull of raw candidate points.
+def integrate_points(points, n: int, f: Polynomial, scale: int = 1) -> Fraction:
+    """Integral of f over the hull of raw candidate points divided by scale.
 
-    One Grundmann-Moeller sum runs over the fan triangulation of the hull,
-    on the hull's integer points.
+    Coordinates are ints or Fractions.  One Grundmann-Moeller sum runs over
+    the fan triangulation of the hull, on the hull's integer points, with the
+    fan determinants the hull keeps.
     """
     if f.num_vars != n:
         raise ValueError("density variable count must match the ambient dimension")
-    data = hull_data([tuple(as_scalar(c) for c in p) for p in points], n)
+    pts, den = scale_to_ints(points)
+    data = hull_data_int(pts, n, den * scale)
     if data is None:
         return Fraction(0)
-    return _fan_integral(data.points, data.scale, data.fan_triangulation(), f)
+    return _fan_integral(data.points, data.scale, data.fan_triangulation(), data.fan_dets(), f)

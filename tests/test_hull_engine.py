@@ -3,13 +3,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
+from operator import mul
 
 import pytest
 
 from valgebra.geometry import hull
 from valgebra.hull import hull_data_int, hull2d_extreme, volume_of_points
-from valgebra.intlinalg import simplex_det
+from valgebra.intlinalg import hyperplane_through, simplex_det
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 
@@ -170,3 +172,93 @@ def test_fan_triangulation_has_no_flat_simplices():
         data = hull_data_int(pts, n)
         assert all(simplex_det(data.points, s) != 0 for s in data.fan_triangulation())
         assert data.volume() == vol
+
+
+def small_hull_cases():
+    """Seeded inputs in dimensions 1 to 6, small enough for n-subset brute force."""
+    rng = random.Random(4242)
+    for n in (1, 2, 3, 4, 5, 6):
+        for _ in range(4):
+            yield [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(1, 4))], n
+    # Minkowski sums of small simplices: many coplanar points and facets.
+    for n, extra in ((2, 3), (3, 3), (3, 2), (4, 2), (5, 2), (6, 2)):
+        for _ in range(2):
+            a = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n + 1)]
+            b = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(extra)]
+            yield [tuple(x + y for x, y in zip(p, q)) for p in a for q in b], n
+    # Points on facet hyperplanes: edge midpoints of an even simplex, and
+    # affine combinations a + b - c in the plane of three of its vertices.
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(2):
+            simplex = [tuple(2 * rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 1)]
+            pairs = rng.sample(list(combinations(simplex, 2)), 3)
+            on = [tuple((x + y) // 2 for x, y in zip(p, q)) for p, q in pairs]
+            on += [tuple(x + y - z for x, y, z in zip(*rng.sample(simplex, 3))) for _ in range(2)]
+            yield simplex + on, n
+    big = 10**40
+    yield [(0, 0, 0), (big, 0, 0), (0, big, 0), (0, 0, big), (big, big, big)], 3
+
+
+def reduced(nu, c):
+    g = gcd(*nu, c)
+    return tuple(x // g for x in nu), c // g
+
+
+def brute_force_hull(pts, n):
+    """Facet hyperplanes (reduced, outward) and vertex indices of the hull,
+    from the hyperplanes through every n-subset of the points."""
+    cuts = []
+    for idxs in combinations(range(len(pts)), n):
+        nu, c = hyperplane_through(pts, idxs)
+        if any(nu):
+            cuts.append((idxs, nu, c, [sum(map(mul, nu, p)) - c for p in pts]))
+
+    def supporting(skip):
+        """Outward hyperplanes with every point but skip on one side, each
+        mapped to skip's value ν·p − c (None when skip is None)."""
+        planes = {}
+        for idxs, nu, c, vals in cuts:
+            if skip in idxs:
+                continue
+            sides = {(t > 0) - (t < 0) for j, t in enumerate(vals) if j != skip} - {0}
+            if len(sides) == 1:
+                s = -sides.pop()
+                planes[reduced(tuple(s * x for x in nu), s * c)] = None if skip is None else s * vals[skip]
+        return planes
+
+    # A point is a vertex iff it lies outside the hull of the others; when
+    # the others are not full-dimensional, no hyperplane supports them.
+    vertices = []
+    for i in range(len(pts)):
+        others = supporting(i)
+        if not others or any(t > 0 for t in others.values()):
+            vertices.append(i)
+    return set(supporting(None)), vertices
+
+
+def test_fan_dets_are_simplex_determinants():
+    checked = 0
+    for pts, n in small_hull_cases():
+        data = hull_data_int(list(dict.fromkeys(pts)), n)
+        if data is None:
+            continue
+        checked += 1
+        dets = [abs(simplex_det(data.points, s)) for s in data.fan_triangulation()]
+        assert data.fan_dets() == dets
+        assert all(dets)
+    assert checked >= 40
+
+
+def test_facets_and_vertices_match_brute_force():
+    checked = 0
+    for pts, n in small_hull_cases():
+        pts = list(dict.fromkeys(pts))
+        data = hull_data_int(pts, n)
+        planes, vertices = brute_force_hull(pts, n)
+        if data is None:
+            assert not planes
+            continue
+        checked += 1
+        assert {reduced(nu, c) for nu, c in zip(data.normals, data.offsets)} == planes
+        assert data.vertex_indices() == vertices
+    assert checked >= 40

@@ -7,7 +7,7 @@ import pytest
 from valgebra.geometry import hull, translate, scale, volume
 from valgebra.hull import hull_data
 from valgebra.interp import tensor_interpolate, univariate_coeffs
-from valgebra.intlinalg import bareiss_det, scale_to_ints, solve
+from valgebra.intlinalg import bareiss_det, independent_rows, scale_to_ints, solve
 from valgebra.polynomials import Polynomial, integrate, integrate_points, integrate_simplex
 from valgebra.samples import standard_simplex, unit_cube
 
@@ -308,6 +308,37 @@ class TestExactLinearAlgebra:
     def test_solve_rejects_singular_systems(self):
         with pytest.raises(ArithmeticError):
             solve([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(0)])
+
+    @staticmethod
+    def rational_echelon(rows, limit=None):
+        """Reference: greedy elimination over Fractions with unit pivots."""
+        kept, pivots, chosen = [], [], []
+        for i, row in enumerate(rows):
+            if len(chosen) == limit:
+                break
+            r = [F(x) for x in row]
+            for p, k in zip(pivots, kept):
+                r = [a - r[p] * b for a, b in zip(r, k)]
+            p = next((j for j, x in enumerate(r) if x), None)
+            if p is not None:
+                kept.append([x / r[p] for x in r])
+                pivots.append(p)
+                chosen.append(i)
+        return chosen, pivots
+
+    def test_independent_rows_ignores_row_scaling(self, rng):
+        # Rank-deficient integer rows; each scaled copy multiplies every row
+        # by its own nonzero Fraction, which changes no choice of row or pivot.
+        for _ in range(200):
+            cols = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rng.randint(1, 7))]
+            rows += [[2 * a - b for a, b in zip(rows[0], r)] for r in rows[1:3]]
+            limit = rng.choice((None, 1, cols))
+            factors = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+            scaled = [[x * f for x in r] for r, f in zip(rows, factors)]
+            expected = self.rational_echelon(rows, limit)
+            assert independent_rows(rows, limit) == expected
+            assert independent_rows(scaled, limit) == expected
 
 
 class TestInterpolation:
