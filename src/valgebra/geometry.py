@@ -232,11 +232,12 @@ def volume(P: Polytope) -> Fraction:
 
 
 def facet_inequalities(P: Polytope) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Outer description (nu, c) with nu.x <= c, for full-dimensional P."""
+    """Outer description (nu, c) with nu.x <= c, one row per facet of a
+    full-dimensional P."""
     data = _hull_data_of(P)
     if data is None:
         raise ValueError("facet description needs a full-dimensional polytope")
-    return [(nu, Fraction(c, data.scale)) for nu, c in zip(data.normals, data.offsets)]
+    return [(nu, Fraction(c, data.scale)) for nu, c, _ in data.facets()]
 
 
 def contains_point(P: Polytope, x) -> bool:

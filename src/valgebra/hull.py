@@ -74,6 +74,18 @@ class HullData:
             i for i, normals in incident.items() if len(normals) >= n and len(independent_rows(normals, n)[0]) == n
         )
 
+    def facets(self) -> list[tuple[tuple[int, ...], int, frozenset[int]]]:
+        """One (ν, c, vertex indices) per facet hyperplane of the hull.
+
+        The boundary simplices on one hyperplane are merged; the points of
+        their union that are vertices of the hull are the facet's vertices.
+        """
+        vertices = set(self.vertex_indices())
+        merged: dict[tuple[tuple[int, ...], int], set[int]] = {}
+        for verts, nu, c in zip(self.facet_vertices, self.normals, self.offsets):
+            merged.setdefault((nu, c), set()).update(verts)
+        return [(nu, c, frozenset(verts & vertices)) for (nu, c), verts in merged.items()]
+
     def contains(self, x) -> bool:
         """True iff the point x, in unscaled coordinates, lies in the hull."""
         return all(sum(a * b for a, b in zip(nu, x)) * self.scale <= c for nu, c in zip(self.normals, self.offsets))

@@ -4,7 +4,12 @@ Mixed volumes come from inclusion-exclusion over Minkowski sums, with equal
 bodies grouped by multiplicity so that only a handful of full-size hull
 computations are needed.  Minkowski polynomials (volume or a polynomial
 density integrated over `K + sum lambda_j A_j`) are recovered exactly by
-interpolation on integer grids sized by per-body degree bounds.
+interpolation on integer grids sized by per-body degree bounds.  A volume
+takes one hull per grid point.  An integral takes one hull in all: for
+lambda > 0 the sum keeps one face lattice, so one pulling triangulation of
+K + sum A_j, placed at each grid point, covers the whole grid, and each
+simplex's determinant is a constant times a product of facet heights that
+are linear in lambda.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import add, mul
 
 from .geometry import (
     Polytope,
@@ -24,8 +30,8 @@ from .geometry import (
 from .hull import hull_data_int
 from .intervals import Interval
 from .interp import tensor_interpolate
-from .intlinalg import scale_to_ints
-from .polynomials import Polynomial, integrate_points
+from .intlinalg import scale_to_ints, simplex_det
+from .polynomials import Polynomial, _fan_integral, integrate_points
 
 
 def _group_bodies(bodies) -> tuple[list[tuple[Polytope, int]], list[int]]:
@@ -157,23 +163,191 @@ def _grouped_sum_polynomial(
     n: int,
     density: Polynomial | None,
 ) -> Polynomial:
-    """Exact polynomial s -> measure(base + sum s_g rep_g) by interpolation."""
-    d = density.degree() if density is not None else 0
-    degs = []
-    for rep, _ in groups:
-        degs.append(min(affine_dim(rep), n) + d)
+    """Exact polynomial s -> measure(base + sum s_g rep_g) by interpolation.
 
-    def build(axis: int, coeffs: list[Fraction]):
-        if axis == len(groups):
-            parts = [(base, Fraction(1))]
-            parts += [(rep, c) for (rep, _), c in zip(groups, coeffs)]
-            return _combo_measure(parts, n, density)
-        return [build(axis + 1, coeffs + [Fraction(k)]) for k in range(degs[axis] + 1)]
-
-    values = build(0, [])
+    The measure is taken on the grid prod_g {0..deg_g}.  Volumes come from
+    one hull per grid point.  Integrals of a density come from one hull of
+    base + sum rep_g, whose pulled triangulation is placed at every grid
+    point (`_PulledSum`).
+    """
     if not groups:
-        return Polynomial.constant(0, values)
+        return Polynomial.constant(0, _combo_measure([(base, Fraction(1))], n, density))
+    d = density.degree() if density is not None else 0
+    degs = [min(affine_dim(rep), n) + d for rep, _ in groups]
+    grid = itertools.product(*(range(deg + 1) for deg in degs))
+    if density is None:
+        values = [
+            _combo_measure([(base, Fraction(1))] + [(rep, Fraction(k)) for (rep, _), k in zip(groups, lams)], n, None)
+            for lams in grid
+        ]
+    else:
+        if density.num_vars != n:
+            raise ValueError("density variable count must match the ambient dimension")
+        pulled = _pulled_sum([base] + [rep for rep, _ in groups], n)
+        if pulled is None:
+            return Polynomial(len(groups))
+        values = [pulled.integral(lams, density) for lams in grid]
+    for deg in reversed(degs[1:]):
+        values = [values[i : i + deg + 1] for i in range(0, len(values), deg + 1)]
     return tensor_interpolate(values, degs)
+
+
+@dataclass(frozen=True)
+class _PulledSum:
+    """A pulled triangulation of body_0 + sum_g lam_g body_g for every lam >= 0.
+
+    For lam > 0 the sum has one normal fan, so one face lattice, and the
+    vertex of each normal cone is the sum of one vertex of each body (its
+    label).  A pulling triangulation depends on the lattice only, so one
+    triangulation serves every lam.  Simplex i is pulled along a flag of
+    faces F_0 ⊃ F_1 ⊃ ... ⊃ F_n: its vertex v_k is the vertex pulled in F_k,
+    and a hull facet G_k cuts F_{k+1} out of F_k.  Within the direction
+    space of F_k, which is fixed, the distance from v_k to F_{k+1} is a
+    constant times the height h_k = c_G − ν_G·v_k, an integer linear form in
+    (1, lam_1, ...).  So |det| = C_σ · prod_k h_k(lam) with C_σ constant, as
+    a polynomial on the closed orthant: simplices that flatten at a zero of
+    lam get det 0.
+
+    `points[b]` are the integer vertices of body b over the common
+    denominator `scale`, and `labels[v]` holds one vertex index per body.
+    Simplex i has vertices `simplices[i]`, heights `forms[k]` for k in
+    `heights[i]`, and |det| = num · prod h / den for (num, den) = `consts[i]`.
+    """
+
+    points: list[list[tuple[int, ...]]]
+    scale: int
+    labels: list[tuple[int, ...]]
+    simplices: list[tuple[int, ...]]
+    heights: list[tuple[int, ...]]
+    consts: list[tuple[int, int]]
+    forms: list[tuple[int, ...]]
+
+    def place(self, lams) -> list[tuple[int, ...]]:
+        """The vertices at lam, integers over `scale`."""
+        weights = (1, *lams)
+        return [
+            tuple(sum(map(mul, weights, col)) for col in zip(*(pts[i] for pts, i in zip(self.points, label))))
+            for label in self.labels
+        ]
+
+    def dets(self, lams) -> list[int]:
+        """|det| of each simplex's edge vectors at lam, C_σ · prod_k h_k(lam)."""
+        weights = (1, *lams)
+        h = [sum(map(mul, form, weights)) for form in self.forms]
+        out = []
+        for ids, (num, den) in zip(self.heights, self.consts):
+            for k in ids:
+                num *= h[k]
+            det, rem = divmod(num, den)
+            if rem:
+                raise ArithmeticError("flag heights do not give an integer determinant")
+            out.append(det)
+        return out
+
+    def integral(self, lams, f: Polynomial) -> Fraction:
+        """Integral of f over body_0 + sum_g lam_g body_g."""
+        dets = self.dets(lams)
+        simplices = [simplex for simplex, det in zip(self.simplices, dets) if det]
+        if not simplices:
+            return Fraction(0)
+        return _fan_integral(self.place(lams), self.scale, simplices, [det for det in dets if det], f)
+
+
+def _pulled_sum(bodies: list[Polytope], n: int) -> _PulledSum | None:
+    """Pull one hull of the sum of the bodies; None when it is not full-dimensional."""
+    scaled = [scale_to_ints(body.vertices) for body in bodies]
+    scale = lcm(*(den for _, den in scaled))
+    points = [[tuple(x * (scale // den) for x in p) for p in pts] for pts, den in scaled]
+    # Candidate point -> label.  A vertex of a sum is the sum of one vertex of
+    # each body in one way only, and so are its partial sums, so keeping the
+    # first label of each point keeps every vertex's label.
+    cands = {p: (i,) for i, p in enumerate(points[0])}
+    for pts in points[1:]:
+        grown: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for p, label in cands.items():
+            for i, q in enumerate(pts):
+                grown.setdefault(tuple(map(add, p, q)), label + (i,))
+        cands = grown
+    data = hull_data_int(list(cands), n, scale)
+    if data is None:
+        return None
+    facets = data.facets()
+    vids = sorted(set().union(*(verts for _, _, verts in facets)))
+    local = {v: k for k, v in enumerate(vids)}
+    every = list(cands.values())
+    labels = [every[v] for v in vids]
+    masks = [sum(1 << local[v] for v in verts) for _, _, verts in facets]
+    pulled: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    _pull((1 << len(vids)) - 1, (), (), masks, {}, pulled)
+    forms: list[tuple[int, ...]] = []
+    form_ids: dict[tuple[int, int], int] = {}
+    corners = [data.points[v] for v in vids]
+    simplices, heights, consts = [], [], []
+    for verts, gs in pulled:
+        ids = []
+        for g, v in zip(gs, verts):
+            k = form_ids.get((g, v))
+            if k is None:
+                # h = ν·(w − v) body by body, w any vertex of the facet.
+                nu = facets[g][0]
+                w = labels[(masks[g] & -masks[g]).bit_length() - 1]
+                forms.append(
+                    tuple(
+                        sum(map(mul, nu, pts[a])) - sum(map(mul, nu, pts[b]))
+                        for pts, a, b in zip(points, w, labels[v])
+                    )
+                )
+                k = form_ids[g, v] = len(forms) - 1
+            ids.append(k)
+        num = abs(simplex_det(corners, verts))
+        den = 1
+        for k in ids:
+            den *= sum(forms[k])
+        common = gcd(num, den)
+        simplices.append(verts)
+        heights.append(tuple(ids))
+        consts.append((num // common, den // common))
+    return _PulledSum(points, scale, labels, simplices, heights, consts, forms)
+
+
+def _pull(face: int, verts: tuple[int, ...], cuts: tuple[int, ...], facets: list[int], memo: dict, out: list):
+    """Append the simplices of a pulling triangulation of a face to out.
+
+    A face is the bit mask of its vertex ids and `facets` lists the hull's
+    facets likewise.  The smallest vertex v of the face is coned over the
+    pulled triangulations of the face's facets that miss v.  Each simplex is
+    appended as (vertices, cuts) after the flag so far: vertices[k] was
+    pulled in the k-th face of its flag, and hull facet cuts[k] cuts the next
+    face out of it.  memo maps a face to its facets that miss v.
+    """
+    v = (face & -face).bit_length() - 1
+    verts += (v,)
+    if face == 1 << v:
+        out.append((verts, cuts))
+        return
+    subs = memo.get(face)
+    if subs is None:
+        subs = memo[face] = _facets_of_face(face, v, facets)
+    for sub, g in subs:
+        _pull(sub, verts, cuts + (g,), facets, memo, out)
+
+
+def _facets_of_face(face: int, v: int, facets: list[int]) -> list[tuple[int, int]]:
+    """The facets of a face that miss vertex v, each with a hull facet cutting it out.
+
+    The facets of a face F are the inclusion-maximal sets F ∩ G over hull
+    facets G not holding F.
+    """
+    cuts: dict[int, int] = {}
+    for g, verts in enumerate(facets):
+        sub = face & verts
+        if sub and sub != face:
+            cuts.setdefault(sub, g)
+    maximal: list[int] = []
+    for sub in sorted(cuts, key=int.bit_count, reverse=True):
+        if all(sub & other != sub for other in maximal):
+            maximal.append(sub)
+    return [(sub, cuts[sub]) for sub in maximal if not sub >> v & 1]
 
 
 @dataclass(frozen=True)

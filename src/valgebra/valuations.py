@@ -295,7 +295,9 @@ def _cached_pd_value(dim: int, density: Polynomial, slack: tuple, K: Polytope) -
     return mixed_derivative_coefficient(K, list(slack), dim, density)
 
 
-@lru_cache(maxsize=8192)
+# Each entry pins its generators and body, so the bound caps the memory of a
+# stream of fresh products; the acceptance suite fills fewer than 256.
+@lru_cache(maxsize=512)
 def _cached_diagonal_value(g, h, K: Polytope, max_internal_dim: int) -> Fraction:
     c1, f1 = _theta_factors(g)
     c2, f2 = _theta_factors(h)

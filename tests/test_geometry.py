@@ -403,6 +403,34 @@ class TestBallApprox:
                 assert c > 0
                 assert c * c >= sum(F(a) * a for a in nu)
 
+    def test_facet_inequalities_one_row_per_facet(self):
+        from valgebra.geometry import facet_inequalities
+
+        assert len(facet_inequalities(unit_cube(3))) == 6
+        octa = hull([tuple(F(s) if j == i else F(0) for j in range(3)) for i in range(3) for s in (1, -1)], 3)
+        assert len(facet_inequalities(octa)) == 8
+        for nu, c in facet_inequalities(octa):
+            assert c == 1 and all(abs(a) == 1 for a in nu)
+
+    def test_circumscribed_ball_unchanged_by_facet_rows(self):
+        from valgebra.geometry import facet_inequalities
+        from valgebra.hull import hull_data
+
+        for level in (1, 2):
+            inner = ball_approx(3, level, "inscribed")
+            data = hull_data(list(inner.vertices), 3)
+            # One row per boundary simplex, as the facet description had
+            # before it merged coplanar simplices.
+            simplex_rows = [(nu, F(c, data.scale)) for nu, c in zip(data.normals, data.offsets)]
+            rows = facet_inequalities(inner)
+            assert len(rows) == len(set(rows)) and set(rows) == set(simplex_rows)
+            worst = max(sum(a * a for a in nu) / (c * c) for nu, c in simplex_rows)
+            den = 2**30
+            sigma = F(math.ceil(math.sqrt(float(worst)) * den), den)
+            while sigma * sigma < worst:
+                sigma += F(1, den)
+            assert ball_approx(3, level, "circumscribed") == scale(inner, sigma)
+
     def test_hausdorff_error_decays(self):
         errs = []
         for level in (1, 2, 3):

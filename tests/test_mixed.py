@@ -1,13 +1,15 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial, pi
 
 import pytest
 
-from valgebra.geometry import hull, minkowski_sum, reflect, scale, translate, volume
+from valgebra.geometry import affine_dim, diagonal_embed, hull, minkowski_sum, reflect, scale, translate, volume
 from valgebra.intervals import Interval
 from valgebra.mixed import (
+    _group_bodies,
     derivative_at_zero,
     intrinsic_volume_brackets,
     minkowski_polynomial,
@@ -168,6 +170,121 @@ class TestMinkowskiPolynomial:
             lhs = derivative_at_zero(mp, list(range(n - 1)))
             rhs = F(factorial(n), factorial(1)) * mixed_volume([K] + slack)
             assert lhs == rhs
+
+
+def grid_hull_polynomial(base, groups, n, density):
+    """The grouped Minkowski polynomial from one hull per interpolation grid
+    point: the route that the pulled triangulation replaced."""
+    from valgebra.interp import tensor_interpolate
+    from valgebra.mixed import _combo_measure
+
+    degs = [min(affine_dim(rep), n) + density.degree() for rep, _ in groups]
+
+    def values(axis, coeffs):
+        if axis == len(groups):
+            parts = [(base, F(1))] + [(rep, F(c)) for (rep, _), c in zip(groups, coeffs)]
+            return _combo_measure(parts, n, density)
+        return [values(axis + 1, coeffs + [k]) for k in range(degs[axis] + 1)]
+
+    return tensor_interpolate(values(0, []), degs)
+
+
+def random_density(rng, n, deg):
+    terms = {(0,) * n: F(rng.randint(1, 3))}
+    for _ in range(2):
+        exp = [0] * n
+        for _ in range(deg):
+            exp[rng.randrange(n)] += 1
+        terms[tuple(exp)] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(n, terms)
+
+
+def one_hull_cases(rng):
+    """(base, slack bodies, n) in 1-D to 4-D, covering the lattice's corner cases."""
+    cases = []
+    for n in (1, 2, 3, 4):
+        spread = [(0, 1 + i % 2) for i in range(n)]
+        # Box + box: parallel edges, whose candidate sums swap order with lam.
+        cases.append((box(spread), [box([(F(1, 2), 2)] + [(0, 1)] * (n - 1))], n))
+        # Segment slack, and a rational base with a slack body scaled by 3.
+        cases.append((hull(rational_points(rng, n + 2, n, denom=3, spread=1), n), [segment(n, n - 1, 2)], n))
+        cases.append((standard_simplex(n), [scale(hull(rational_points(rng, n + 1, n, denom=2, spread=1), n), 3)], n))
+    # Two groups: a box and a segment.
+    cases.append((unit_cube(2), [box([(0, 1), (0, 2)]), segment(2, 0)], 2))
+    cases.append((hull(rational_points(rng, 5, 3, spread=1), 3), [unit_cube(3), segment(3, 2)], 3))
+    # Flat bases: the diagonal of K in K x K, as the diagonal route builds it.
+    K1 = box([(0, 2)])
+    cases.append((diagonal_embed(K1), [segment(2, 0), segment(2, 1)], 2))
+    K2 = hull(rational_points(rng, 4, 2, spread=1), 2)
+    zero = (F(0), F(0))
+    blocks = [hull([v + zero for v in K2.vertices], 4), hull([zero + v for v in K2.vertices], 4)]
+    cases.append((diagonal_embed(K2), blocks, 4))
+    return cases
+
+
+class TestOneHullRoute:
+    """The density route pulls one hull of base + sum A_g for every grid point."""
+
+    def test_matches_one_hull_per_grid_point(self, rng):
+        from valgebra.mixed import _grouped_sum_polynomial
+
+        for base, slack, n in one_hull_cases(rng):
+            groups, _ = _group_bodies(slack)
+            for deg in (1, 2):
+                f = random_density(rng, n, deg)
+                expected = grid_hull_polynomial(base, groups, n, f)
+                assert _grouped_sum_polynomial(base, groups, n, f) == expected
+                assert not expected.is_zero()
+
+    def test_flat_sum_gives_zero_polynomial(self, rng):
+        from valgebra.mixed import _grouped_sum_polynomial
+
+        for n in (2, 3, 4):
+            flat = [hull([tuple(p[:-1]) + (F(0),) for p in rational_points(rng, n + 1, n)], n) for _ in range(3)]
+            groups, _ = _group_bodies(flat[1:])
+            f = random_density(rng, n, 2)
+            got = _grouped_sum_polynomial(flat[0], groups, n, f)
+            assert got == grid_hull_polynomial(flat[0], groups, n, f) == Polynomial(len(groups))
+
+    def test_flag_heights_are_determinants(self, rng):
+        from valgebra.intlinalg import simplex_det
+        from valgebra.mixed import _pulled_sum
+
+        for base, slack, n in one_hull_cases(rng):
+            pulled = _pulled_sum([base] + slack, n)
+            total = base
+            for body in slack:
+                total = minkowski_sum(total, body)
+            ones = (1,) * len(slack)
+            assert sum(pulled.dets(ones)) == factorial(n) * pulled.scale**n * volume(total)
+            grid = [ones, (0,) * len(slack)] + [tuple(rng.randint(0, 3) for _ in slack) for _ in range(4)]
+            for lams in grid:
+                pts = pulled.place(lams)
+                assert pulled.dets(lams) == [abs(simplex_det(pts, s)) for s in pulled.simplices]
+
+    def test_density_coefficient_builds_one_hull(self, monkeypatch):
+        from valgebra.mixed import mixed_derivative_coefficient
+
+        # The valgebra.hull function shadows the module, so patch the names
+        # bound in the modules that build hulls for this route.
+        built = []
+        for name in ("valgebra.mixed", "valgebra.polynomials"):
+            module = sys.modules[name]
+            original = module.hull_data_int
+
+            def counting(*args, _original=original, **kwargs):
+                built.append(args[1])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "hull_data_int", counting)
+        n = 3
+        f = Polynomial(n, {(1, 0, 0): F(1), (0, 2, 0): F(1, 2)})
+        base, slack = unit_cube(3), [box([(0, 2), (0, 1), (0, 1)]), segment(3, 2)]
+        value = mixed_derivative_coefficient(base, slack, n, f)
+        assert built == [3]
+        monkeypatch.undo()
+        groups, _ = _group_bodies(slack)
+        assert value == grid_hull_polynomial(base, groups, n, f).coefficient((1, 1))
 
 
 class TestSteiner:
