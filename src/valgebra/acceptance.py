@@ -159,7 +159,9 @@ def criterion_3(seed: int = DEFAULT_SEED) -> dict:
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> dict:
-    """Derivative identity: interpolation route equals polarization route."""
+    """Derivative identity: the mixed derivative of the volume polynomial,
+    interpolated from one hull per grid point, equals n!/i! times the mixed
+    volume read off one pulled hull of the sum."""
 
     def run():
         rng = random.Random(seed)

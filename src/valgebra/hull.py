@@ -63,8 +63,11 @@ class HullData:
 
         A boundary point is a vertex iff the normals of the facets through it
         have full rank; a point inside an edge or a facet of the polytope
-        only meets facets whose normals span fewer dimensions.
+        only meets facets whose normals span fewer dimensions.  The 1-D and
+        2-D hulls keep only extreme points on their boundary.
         """
+        if self.dim <= 2:
+            return self.boundary_vertex_indices()
         incident: dict[int, set[tuple[int, ...]]] = {}
         for verts, nu in zip(self.facet_vertices, self.normals):
             for i in verts:

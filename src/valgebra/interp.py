@@ -35,29 +35,23 @@ def tensor_interpolate(values, degrees: list[int]) -> Polynomial:
     """Exact polynomial through values on the grid prod_i {0..degrees[i]}.
 
     `values` is a nested list, axis i indexed by 0..degrees[i].  Returns a
-    Polynomial in len(degrees) variables.
+    Polynomial in len(degrees) variables.  The axes are interpolated one at
+    a time: after axis i, index i of each key is an exponent.
     """
     s = len(degrees)
     if s == 0:
         return Polynomial.constant(0, values)
-
-    def rec(vals, axis: int):
-        # Returns dict exponent-tuple (over axes >= axis) -> Fraction.
-        if axis == s - 1:
-            coeffs = univariate_coeffs([Fraction(v) for v in vals])
-            return {(k,): c for k, c in enumerate(coeffs) if c != 0}
-        sub = [rec(v, axis + 1) for v in vals]
-        exps = set()
-        for d in sub:
-            exps.update(d.keys())
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp in exps:
-            seq = [d.get(exp, Fraction(0)) for d in sub]
-            coeffs = univariate_coeffs(seq)
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    out[(k,) + exp] = c
-        return out
-
-    table = rec(values, 0)
+    table = {(): values}
+    for _ in degrees:
+        table = {key + (i,): v for key, vals in table.items() for i, v in enumerate(vals)}
+    for axis, deg in enumerate(degrees):
+        lines: dict[tuple[int, ...], list[Fraction]] = {}
+        for key, v in table.items():
+            lines.setdefault(key[:axis] + key[axis + 1 :], [Fraction(0)] * (deg + 1))[key[axis]] = Fraction(v)
+        table = {
+            rest[:axis] + (k,) + rest[axis:]: c
+            for rest, line in lines.items()
+            for k, c in enumerate(univariate_coeffs(line))
+            if c != 0
+        }
     return Polynomial(s, table)

@@ -1,15 +1,16 @@
 """Mixed volumes, Minkowski polynomials and Steiner data.
 
-Mixed volumes come from inclusion-exclusion over Minkowski sums, with equal
-bodies grouped by multiplicity so that only a handful of full-size hull
-computations are needed.  Minkowski polynomials (volume or a polynomial
-density integrated over `K + sum lambda_j A_j`) are recovered exactly by
-interpolation on integer grids sized by per-body degree bounds.  A volume
-takes one hull per grid point.  An integral takes one hull in all: for
-lambda > 0 the sum keeps one face lattice, so one pulling triangulation of
-K + sum A_j, placed at each grid point, covers the whole grid, and each
-simplex's determinant is a constant times a product of facet heights that
-are linear in lambda.
+For lambda > 0, sum_j lambda_j A_j keeps one face lattice, and the vertex
+of each normal cone is the sum of one vertex of each body.  One pulling
+triangulation of sum_j A_j therefore serves every lambda in the closed
+orthant: each simplex's determinant is a constant times a product of facet
+heights that are linear in lambda (`_PulledSum`).  A mixed volume
+V(A_1[m_1], ...) is one coefficient of that polynomial, read off one hull.
+Minkowski polynomials (volume or a polynomial density integrated over
+`K + sum lambda_j A_j`) are recovered exactly by interpolation on integer
+grids sized by per-body degree bounds.  A volume takes one hull per grid
+point; an integral takes the one pulled hull of K + sum A_j, placed at each
+grid point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 
 from .geometry import (
@@ -87,27 +88,27 @@ def _combo_measure(parts: list[tuple[Polytope, Fraction]], n: int, density: Poly
 
 
 def mixed_volume_grouped(groups: list[tuple[Polytope, int]], n: int) -> Fraction:
-    """V(body_1[m_1], ..., body_g[m_g]) with sum of multiplicities n."""
+    """V(body_1[m_1], ..., body_g[m_g]) with sum of multiplicities n.
+
+    vol(sum_g lam_g body_g) = sum_m n!/prod_g m_g! V(body[m]) lam^m, and one
+    pulled triangulation of sum_g body_g gives n! scale^n times that volume
+    as sum_σ C_σ prod_k h_k(lam) on the whole closed orthant
+    (`_PulledSum`).  The mixed volume is its coefficient at lam^m: one hull
+    per call, and 0 when the sum is not full-dimensional.
+    """
     total_mult = sum(m for _, m in groups)
     if total_mult != n:
         raise ValueError("multiplicities must sum to the dimension")
     for body, _ in groups:
         if body.dim != n:
             raise ValueError("mixed volume bodies must live in the ambient dimension")
-    total = Fraction(0)
-    ranges = [range(m + 1) for _, m in groups]
-    for counts in itertools.product(*ranges):
-        k = sum(counts)
-        if k == 0:
-            continue
-        coef = 1
-        for (_, m), a in zip(groups, counts):
-            coef *= comb(m, a)
-        parts = [(body, Fraction(a)) for (body, _), a in zip(groups, counts) if a]
-        vol = _combo_measure(parts, n, None)
-        if vol:
-            total += (-1) ** (n - k) * coef * vol
-    return total / factorial(n)
+    groups = [(body, m) for body, m in groups if m]
+    pulled = _pulled_sum([body for body, _ in groups], n)
+    if pulled is None:
+        return Fraction(0)
+    mults = tuple(m for _, m in groups)
+    weight = prod(factorial(m) for m in mults)
+    return pulled.coefficient(mults) * weight / (factorial(n) ** 2 * pulled.scale**n)
 
 
 def mixed_volume(bodies) -> Fraction:
@@ -135,10 +136,10 @@ def mixed_derivative_coefficient(
     """d^s/(dlam_1 ... dlam_s) at 0 of measure(base + sum lam_j slack_j).
 
     With no density, or a constant one c, this equals (c times) n!/(n-s)!
-    times the mixed volume with the base repeated n-s times, computed by
-    polarization.  With a nonconstant density the grouped Minkowski
-    polynomial is interpolated and the mixed coefficient extracted with
-    multiplicity factorials.
+    times the mixed volume with the base repeated n-s times
+    (`mixed_volume_grouped`).  With a nonconstant density the grouped
+    Minkowski polynomial is interpolated and the mixed coefficient extracted
+    with multiplicity factorials.
     """
     s = len(slack)
     d = density.degree() if density is not None else 0
@@ -194,7 +195,7 @@ def _grouped_sum_polynomial(
 
 @dataclass(frozen=True)
 class _PulledSum:
-    """A pulled triangulation of body_0 + sum_g lam_g body_g for every lam >= 0.
+    """A pulled triangulation of sum_b lam_b body_b for every lam >= 0.
 
     For lam > 0 the sum has one normal fan, so one face lattice, and the
     vertex of each normal cone is the sum of one vertex of each body (its
@@ -203,10 +204,11 @@ class _PulledSum:
     faces F_0 ⊃ F_1 ⊃ ... ⊃ F_n: its vertex v_k is the vertex pulled in F_k,
     and a hull facet G_k cuts F_{k+1} out of F_k.  Within the direction
     space of F_k, which is fixed, the distance from v_k to F_{k+1} is a
-    constant times the height h_k = c_G − ν_G·v_k, an integer linear form in
-    (1, lam_1, ...).  So |det| = C_σ · prod_k h_k(lam) with C_σ constant, as
-    a polynomial on the closed orthant: simplices that flatten at a zero of
-    lam get det 0.
+    constant times the height h_k = c_G − ν_G·v_k, an integer linear form
+    sum_b forms[k][b]·lam_b.  So |det| = C_σ · prod_k h_k(lam) with C_σ
+    constant, as a polynomial on the closed orthant: simplices that flatten
+    at a zero of lam get det 0.  `coefficient` reads this homogeneously;
+    `place`, `dets` and `integral` fix lam_0 = 1 and take the other weights.
 
     `points[b]` are the integer vertices of body b over the common
     denominator `scale`, and `labels[v]` holds one vertex index per body.
@@ -244,6 +246,29 @@ class _PulledSum:
             out.append(det)
         return out
 
+    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
+        """Coefficient of lam^exps in sum_σ C_σ prod_k h_k(lam), one lam per body.
+
+        Each product is expanded with exponents capped at exps, so only the
+        monomials that can still reach lam^exps are kept.
+        """
+        support = [[(b, a) for b, a in enumerate(form) if a] for form in self.forms]
+        by_den: dict[int, int] = {}
+        for ids, (num, den) in zip(self.heights, self.consts):
+            terms = {exps: num}  # exponents still to take -> coefficient so far
+            for k in ids:
+                grown: dict[tuple[int, ...], int] = {}
+                for rest, c in terms.items():
+                    for b, a in support[k]:
+                        if rest[b]:
+                            key = rest[:b] + (rest[b] - 1,) + rest[b + 1 :]
+                            grown[key] = grown.get(key, 0) + c * a
+                terms = grown
+            if terms:
+                # n factors take all n exponents: only lam^0 is left.
+                by_den[den] = by_den.get(den, 0) + terms.popitem()[1]
+        return sum((Fraction(c, den) for den, c in by_den.items()), Fraction(0))
+
     def integral(self, lams, f: Polynomial) -> Fraction:
         """Integral of f over body_0 + sum_g lam_g body_g."""
         dets = self.dets(lams)
@@ -277,12 +302,16 @@ def _pulled_sum(bodies: list[Polytope], n: int) -> _PulledSum | None:
     every = list(cands.values())
     labels = [every[v] for v in vids]
     masks = [sum(1 << local[v] for v in verts) for _, _, verts in facets]
+    corners = [data.points[v] for v in vids]
+    fan_total = sum(data.fan_dets())
+    # The facet complex is the largest object here; free it before the pull.
+    del data
     pulled: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     _pull((1 << len(vids)) - 1, (), (), masks, {}, pulled)
     forms: list[tuple[int, ...]] = []
     form_ids: dict[tuple[int, int], int] = {}
-    corners = [data.points[v] for v in vids]
     simplices, heights, consts = [], [], []
+    volume_dets = 0
     for verts, gs in pulled:
         ids = []
         for g, v in zip(gs, verts):
@@ -300,6 +329,7 @@ def _pulled_sum(bodies: list[Polytope], n: int) -> _PulledSum | None:
                 k = form_ids[g, v] = len(forms) - 1
             ids.append(k)
         num = abs(simplex_det(corners, verts))
+        volume_dets += num
         den = 1
         for k in ids:
             den *= sum(forms[k])
@@ -307,6 +337,8 @@ def _pulled_sum(bodies: list[Polytope], n: int) -> _PulledSum | None:
         simplices.append(verts)
         heights.append(tuple(ids))
         consts.append((num // common, den // common))
+    if volume_dets != fan_total:
+        raise ArithmeticError("pulled simplices do not tile the hull's volume")
     return _PulledSum(points, scale, labels, simplices, heights, consts, forms)
 
 

@@ -9,6 +9,7 @@ import pytest
 from valgebra.geometry import affine_dim, diagonal_embed, hull, minkowski_sum, reflect, scale, translate, volume
 from valgebra.intervals import Interval
 from valgebra.mixed import (
+    _combo_measure,
     _group_bodies,
     derivative_at_zero,
     intrinsic_volume_brackets,
@@ -34,7 +35,6 @@ def mv_oracle(bodies):
     """Coefficient of l1*...*ln in vol(sum li Ki), divided by n!."""
     n = bodies[0].dim
     from valgebra.interp import tensor_interpolate
-    from valgebra.mixed import _combo_measure
 
     def values(axis, coeffs):
         if axis == n:
@@ -45,6 +45,25 @@ def mv_oracle(bodies):
     # vol(sum li Ki) = sum over n-tuples V(K_i1..K_in) l_i1...l_in; the
     # all-distinct coefficient collects n! orderings.
     return poly.coefficient(tuple(1 for _ in range(n))) / factorial(n)
+
+
+def inclusion_exclusion_mv(groups, n):
+    """V(body_1[m_1], ...) by inclusion-exclusion over the 0/1 subsets of the
+    bodies, one hull per subset sum: the route the pulled coefficient replaced."""
+    total = F(0)
+    ranges = [range(m + 1) for _, m in groups]
+    for counts in itertools.product(*ranges):
+        k = sum(counts)
+        if k == 0:
+            continue
+        coef = 1
+        for (_, m), a in zip(groups, counts):
+            coef *= comb(m, a)
+        parts = [(body, F(a)) for (body, _), a in zip(groups, counts) if a]
+        vol = _combo_measure(parts, n, None)
+        if vol:
+            total += (-1) ** (n - k) * coef * vol
+    return total / factorial(n)
 
 
 class TestMixedVolume:
@@ -176,7 +195,6 @@ def grid_hull_polynomial(base, groups, n, density):
     """The grouped Minkowski polynomial from one hull per interpolation grid
     point: the route that the pulled triangulation replaced."""
     from valgebra.interp import tensor_interpolate
-    from valgebra.mixed import _combo_measure
 
     degs = [min(affine_dim(rep), n) + density.degree() for rep, _ in groups]
 
@@ -285,6 +303,94 @@ class TestOneHullRoute:
         monkeypatch.undo()
         groups, _ = _group_bodies(slack)
         assert value == grid_hull_polynomial(base, groups, n, f).coefficient((1, 1))
+
+
+def paraboloid_tetrahedron(rng):
+    """Four lattice points on z = x^2 + y^2 that span 3-space."""
+    while True:
+        xy = rng.sample([(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)], 4)
+        P = hull([(x, y, x * x + y * y) for x, y in xy], 3)
+        if affine_dim(P) == 3:
+            return P
+
+
+def pulled_mv_cases(rng):
+    """(groups, n) in 1-D to 6-D with flat bodies, points, rational
+    coordinates and repeated groups; the last case has a flat total sum."""
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            mults = [1] * n
+            while len(mults) > 1 and rng.random() < 0.5:
+                i = rng.randrange(len(mults) - 1)
+                mults[i : i + 2] = [mults[i] + mults[i + 1]]
+            groups = []
+            for m in mults:
+                kind = rng.randrange(4)
+                if kind == 0:
+                    body = hull([tuple(F(rng.randint(-2, 2)) for _ in range(n))], n)
+                elif kind == 1 and n > 1:
+                    flat = [p[:-1] + (F(0),) for p in rational_points(rng, n + 1, n, denom=2)]
+                    body = hull(flat, n)
+                else:
+                    body = hull(rational_points(rng, n + 2, n, denom=rng.choice((1, 2, 3))), n)
+                groups.append((body, m))
+            cases.append((groups, n))
+    cases.append(([(unit_cube(5), 2), (standard_simplex(5), 2), (segment(5, 4, 3), 1)], 5))
+    # The diagonal route's 6-D mixed volume: diag(K)[3], A in block 0, B in block 1.
+    K, A, B = (paraboloid_tetrahedron(rng) for _ in range(3))
+    zero = (F(0),) * 3
+    block_a = hull([v + zero for v in A.vertices], 6)
+    block_b = hull([zero + v for v in B.vertices], 6)
+    cases.append(([(diagonal_embed(K), 3), (block_a, 2), (block_b, 1)], 6))
+    flat = [hull([p[:-1] + (F(0),) for p in rational_points(rng, 4, 3)], 3) for _ in range(2)]
+    cases.append(([(flat[0], 2), (flat[1], 1)], 3))
+    return cases
+
+
+class TestPulledMixedVolume:
+    """mixed_volume_grouped reads V off one pulled hull of the sum of the bodies."""
+
+    def test_matches_inclusion_exclusion(self, rng):
+        cases = pulled_mv_cases(rng)
+        values = [mixed_volume_grouped(groups, n) for groups, n in cases]
+        assert values == [inclusion_exclusion_mv(groups, n) for groups, n in cases]
+        assert values[-1] == 0 and values[-2] > 0 and values[-3] > 0
+
+    def test_one_hull_per_call(self, rng, monkeypatch):
+        cases = pulled_mv_cases(rng)
+        module = sys.modules["valgebra.mixed"]
+        built = []
+        original = module.hull_data_int
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "hull_data_int", counting)
+        for groups, n in cases:
+            built.clear()
+            mixed_volume_grouped(groups, n)
+            assert built == [n]
+
+    def test_homogeneous_flag_identity(self, rng):
+        from valgebra.mixed import _pulled_sum
+
+        for groups, n in pulled_mv_cases(rng)[:-1]:
+            bodies = [body for body, _ in groups]
+            pulled = _pulled_sum(bodies, n)
+            if pulled is None:
+                continue
+            grid = [tuple(rng.choice((0, 0, 2, 3, 5)) for _ in bodies) for _ in range(4)]
+            for lams in grid + [(0,) * (len(bodies) - 1) + (1,)]:
+                heights = [sum(a * lam for a, lam in zip(form, lams)) for form in pulled.forms]
+                total = F(0)
+                for ids, (num, den) in zip(pulled.heights, pulled.consts):
+                    for k in ids:
+                        num *= heights[k]
+                    total += F(num, den)
+                vol = _combo_measure([(body, F(lam)) for body, lam in zip(bodies, lams)], n, None)
+                assert total == factorial(n) * pulled.scale**n * vol
 
 
 class TestSteiner:

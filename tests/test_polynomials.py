@@ -354,3 +354,29 @@ class TestInterpolation:
         assert p.coefficient((0, 0)) == 3
         assert p.coefficient((1, 2)) == 1
         assert p.degree() == 3
+
+    def test_tensor_grid_recovers_random_polynomials(self):
+        rng = random.Random(7)
+        for degs in ([0], [3], [2, 0, 1], [1, 3, 2], [2, 2, 2, 1]):
+            terms = {}
+            for _ in range(4):
+                terms[tuple(rng.randint(0, d) for d in degs)] = F(rng.randint(-9, 9), rng.randint(1, 5))
+            p = Polynomial(len(degs), terms)
+
+            def grid(point):
+                if len(point) == len(degs):
+                    return p.eval(point)
+                return [grid(point + [k]) for k in range(degs[len(point)] + 1)]
+
+            assert tensor_interpolate(grid([]), degs) == p
+
+    def test_tensor_interpolate_leaves_no_cyclic_garbage(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            tensor_interpolate([[1, 2], [3, 4]], [1, 1])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
