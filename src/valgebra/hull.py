@@ -28,11 +28,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import factorial, gcd
-from operator import mul
+from operator import mul, or_
 
 from .intlinalg import hyperplane_through, independent_rows, scale_to_ints
+
+
+def bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass
@@ -58,36 +69,45 @@ class HullData:
             seen.update(verts)
         return sorted(seen)
 
-    def vertex_indices(self) -> list[int]:
-        """Boundary points that are vertices of the hull.
+    def _merged(self) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+        """Each facet hyperplane (ν, c) with the bit mask of the boundary
+        points on it, and the bit mask of the hull's vertices.
 
-        A boundary point is a vertex iff the normals of the facets through it
-        have full rank; a point inside an edge or a facet of the polytope
-        only meets facets whose normals span fewer dimensions.  The 1-D and
-        2-D hulls keep only extreme points on their boundary.
+        The facets through a boundary point p meet in the smallest face of
+        the hull that holds p, and every facet through that face carries all
+        of its vertices as boundary points.  So p is a vertex iff the masks of
+        the facets through p meet in p alone.
         """
-        if self.dim <= 2:
-            return self.boundary_vertex_indices()
-        incident: dict[int, set[tuple[int, ...]]] = {}
-        for verts, nu in zip(self.facet_vertices, self.normals):
+        merged: dict[tuple[tuple[int, ...], int], int] = {}
+        for verts, nu, c in zip(self.facet_vertices, self.normals, self.offsets):
+            mask = merged.get((nu, c), 0)
             for i in verts:
-                incident.setdefault(i, set()).add(nu)
-        n = self.dim
-        return sorted(
-            i for i, normals in incident.items() if len(normals) >= n and len(independent_rows(normals, n)[0]) == n
-        )
+                mask |= 1 << i
+            merged[nu, c] = mask
+        if self.dim <= 2:
+            # The 1-D and 2-D hulls keep only extreme points on their boundary.
+            return merged, reduce(or_, merged.values())
+        meets: dict[int, int] = {}  # bit of a boundary point -> meet of its facets
+        for mask in merged.values():
+            rest = mask
+            while rest:
+                low = rest & -rest
+                meets[low] = meets.get(low, mask) & mask
+                rest ^= low
+        return merged, sum(low for low, meet in meets.items() if meet == low)
 
-    def facets(self) -> list[tuple[tuple[int, ...], int, frozenset[int]]]:
-        """One (ν, c, vertex indices) per facet hyperplane of the hull.
+    def vertex_indices(self) -> list[int]:
+        """Boundary points that are vertices of the hull."""
+        return bit_indices(self._merged()[1])
+
+    def facets(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """One (ν, c, bit mask of its vertices) per facet hyperplane of the hull.
 
         The boundary simplices on one hyperplane are merged; the points of
         their union that are vertices of the hull are the facet's vertices.
         """
-        vertices = set(self.vertex_indices())
-        merged: dict[tuple[tuple[int, ...], int], set[int]] = {}
-        for verts, nu, c in zip(self.facet_vertices, self.normals, self.offsets):
-            merged.setdefault((nu, c), set()).update(verts)
-        return [(nu, c, frozenset(verts & vertices)) for (nu, c), verts in merged.items()]
+        merged, vertices = self._merged()
+        return [(nu, c, mask & vertices) for (nu, c), mask in merged.items()]
 
     def contains(self, x) -> bool:
         """True iff the point x, in unscaled coordinates, lies in the hull."""

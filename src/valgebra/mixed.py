@@ -3,9 +3,11 @@
 For lambda > 0, sum_j lambda_j A_j keeps one face lattice, and the vertex
 of each normal cone is the sum of one vertex of each body.  One pulling
 triangulation of sum_j A_j therefore serves every lambda in the closed
-orthant: each simplex's determinant is a constant times a product of facet
-heights that are linear in lambda (`_PulledSum`).  A mixed volume
-V(A_1[m_1], ...) is one coefficient of that polynomial, read off one hull.
+orthant: each simplex's determinant is the product of the lattice heights
+along its flag of faces, integer forms linear in lambda (`_PulledSum`).
+The pull walks the face lattice once and takes no determinant.  A mixed
+volume V(A_1[m_1], ...) is one coefficient of the summed products, read
+off one hull by one memoised sum over the faces.
 Minkowski polynomials (volume or a polynomial density integrated over
 `K + sum lambda_j A_j`) are recovered exactly by interpolation on integer
 grids sized by per-body degree bounds.  A volume takes one hull per grid
@@ -18,8 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, or_
 
 from .geometry import (
     Polytope,
@@ -28,10 +31,10 @@ from .geometry import (
     unit_segment_ball,
     volume,
 )
-from .hull import hull_data_int
+from .hull import bit_indices, hull_data_int
 from .intervals import Interval
 from .interp import tensor_interpolate
-from .intlinalg import scale_to_ints, simplex_det
+from .intlinalg import scale_to_ints
 from .polynomials import Polynomial, _fan_integral, integrate_points
 
 
@@ -92,9 +95,10 @@ def mixed_volume_grouped(groups: list[tuple[Polytope, int]], n: int) -> Fraction
 
     vol(sum_g lam_g body_g) = sum_m n!/prod_g m_g! V(body[m]) lam^m, and one
     pulled triangulation of sum_g body_g gives n! scale^n times that volume
-    as sum_σ C_σ prod_k h_k(lam) on the whole closed orthant
-    (`_PulledSum`).  The mixed volume is its coefficient at lam^m: one hull
-    per call, and 0 when the sum is not full-dimensional.
+    as sum_σ prod_k φ_k(lam), a product of lattice heights per simplex, on
+    the whole closed orthant (`_PulledSum`).  The mixed volume is its
+    coefficient at lam^m, one memoised sum over the pulled face lattice:
+    one hull per call, and 0 when the sum is not full-dimensional.
     """
     total_mult = sum(m for _, m in groups)
     if total_mult != n:
@@ -108,7 +112,7 @@ def mixed_volume_grouped(groups: list[tuple[Polytope, int]], n: int) -> Fraction
         return Fraction(0)
     mults = tuple(m for _, m in groups)
     weight = prod(factorial(m) for m in mults)
-    return pulled.coefficient(mults) * weight / (factorial(n) ** 2 * pulled.scale**n)
+    return Fraction(pulled.coefficient(mults) * weight, factorial(n) ** 2 * pulled.scale**n)
 
 
 def mixed_volume(bodies) -> Fraction:
@@ -200,29 +204,45 @@ class _PulledSum:
     For lam > 0 the sum has one normal fan, so one face lattice, and the
     vertex of each normal cone is the sum of one vertex of each body (its
     label).  A pulling triangulation depends on the lattice only, so one
-    triangulation serves every lam.  Simplex i is pulled along a flag of
-    faces F_0 ⊃ F_1 ⊃ ... ⊃ F_n: its vertex v_k is the vertex pulled in F_k,
-    and a hull facet G_k cuts F_{k+1} out of F_k.  Within the direction
-    space of F_k, which is fixed, the distance from v_k to F_{k+1} is a
-    constant times the height h_k = c_G − ν_G·v_k, an integer linear form
-    sum_b forms[k][b]·lam_b.  So |det| = C_σ · prod_k h_k(lam) with C_σ
-    constant, as a polynomial on the closed orthant: simplices that flatten
-    at a zero of lam get det 0.  `coefficient` reads this homogeneously;
-    `place`, `dets` and `integral` fix lam_0 = 1 and take the other weights.
+    triangulation serves every lam.  It is held as a DAG over the faces that
+    the pull reaches: face i pulls its smallest vertex `pulled[i]` and cones
+    it over the faces of `edges[i]`, its facets that miss that vertex.
+
+    Each edge (F, F') carries the lattice height φ of the pulled vertex v
+    over F' in Λ_F, the integer points of the direction space of F.  The
+    hull facet G that cuts F' out of F takes the values g·ℤ on Λ_F, so
+    φ = (c_G − ν_G·v)/g, an integer linear form sum_b forms[k][b]·lam_b.  A
+    simplex pulled along the flag F_0 ⊃ ... ⊃ F_n is a lattice pyramid over
+    each step, so |det| = prod_k φ_k(lam) with no constant, as a polynomial
+    on the closed orthant: simplices that flatten at a zero of lam get det 0.
+    `coefficient` and `flag_sum` walk the DAG once, memoised per face;
+    `place`, `dets` and `integral` fix lam_0 = 1, take the other weights and
+    use the simplices expanded from the DAG.
 
     `points[b]` are the integer vertices of body b over the common
     denominator `scale`, and `labels[v]` holds one vertex index per body.
-    Simplex i has vertices `simplices[i]`, heights `forms[k]` for k in
-    `heights[i]`, and |det| = num · prod h / den for (num, den) = `consts[i]`.
+    `edges[i]` holds (face, form index) pairs; face 0 is the whole hull.
     """
 
     points: list[list[tuple[int, ...]]]
     scale: int
     labels: list[tuple[int, ...]]
-    simplices: list[tuple[int, ...]]
-    heights: list[tuple[int, ...]]
-    consts: list[tuple[int, int]]
+    pulled: list[int]
+    edges: list[tuple[tuple[int, int], ...]]
     forms: list[tuple[int, ...]]
+
+    @cached_property
+    def _flags(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Every simplex, with the form of each step of its flag."""
+        simplices: list[tuple[int, ...]] = []
+        heights: list[tuple[int, ...]] = []
+        _expand_flags(0, (), (), self.pulled, self.edges, simplices, heights)
+        return simplices, heights
+
+    @property
+    def simplices(self) -> list[tuple[int, ...]]:
+        """The vertex ids of each simplex, in the order of its flag."""
+        return self._flags[0]
 
     def place(self, lams) -> list[tuple[int, ...]]:
         """The vertices at lam, integers over `scale`."""
@@ -233,41 +253,20 @@ class _PulledSum:
         ]
 
     def dets(self, lams) -> list[int]:
-        """|det| of each simplex's edge vectors at lam, C_σ · prod_k h_k(lam)."""
+        """|det| of each simplex's edge vectors at lam, prod_k φ_k(lam)."""
         weights = (1, *lams)
         h = [sum(map(mul, form, weights)) for form in self.forms]
-        out = []
-        for ids, (num, den) in zip(self.heights, self.consts):
-            for k in ids:
-                num *= h[k]
-            det, rem = divmod(num, den)
-            if rem:
-                raise ArithmeticError("flag heights do not give an integer determinant")
-            out.append(det)
-        return out
+        return [prod(h[k] for k in ids) for ids in self._flags[1]]
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        """Coefficient of lam^exps in sum_σ C_σ prod_k h_k(lam), one lam per body.
+    def flag_sum(self, weights) -> int:
+        """sum_σ prod_k φ_k(weights), one weight per body: n! scale^n vol(sum_b w_b body_b)."""
+        h = [sum(map(mul, form, weights)) for form in self.forms]
+        return _flag_sum(0, h, self.edges, {})
 
-        Each product is expanded with exponents capped at exps, so only the
-        monomials that can still reach lam^exps are kept.
-        """
+    def coefficient(self, exps: tuple[int, ...]) -> int:
+        """Coefficient of lam^exps in sum_σ prod_k φ_k(lam), one lam per body."""
         support = [[(b, a) for b, a in enumerate(form) if a] for form in self.forms]
-        by_den: dict[int, int] = {}
-        for ids, (num, den) in zip(self.heights, self.consts):
-            terms = {exps: num}  # exponents still to take -> coefficient so far
-            for k in ids:
-                grown: dict[tuple[int, ...], int] = {}
-                for rest, c in terms.items():
-                    for b, a in support[k]:
-                        if rest[b]:
-                            key = rest[:b] + (rest[b] - 1,) + rest[b + 1 :]
-                            grown[key] = grown.get(key, 0) + c * a
-                terms = grown
-            if terms:
-                # n factors take all n exponents: only lam^0 is left.
-                by_den[den] = by_den.get(den, 0) + terms.popitem()[1]
-        return sum((Fraction(c, den) for den, c in by_den.items()), Fraction(0))
+        return _flag_coefficient(0, exps, self.edges, support, {})
 
     def integral(self, lams, f: Polynomial) -> Fraction:
         """Integral of f over body_0 + sum_g lam_g body_g."""
@@ -276,6 +275,48 @@ class _PulledSum:
         if not simplices:
             return Fraction(0)
         return _fan_integral(self.place(lams), self.scale, simplices, [det for det in dets if det], f)
+
+
+def _flag_sum(face: int, h: list[int], edges, memo: dict[int, int]) -> int:
+    """sum over the flags below a face of the product of their heights h."""
+    if not edges[face]:
+        return 1
+    total = memo.get(face)
+    if total is None:
+        total = memo[face] = sum(h[k] * _flag_sum(sub, h, edges, memo) for sub, k in edges[face])
+    return total
+
+
+def _flag_coefficient(face: int, exps: tuple[int, ...], edges, support, memo: dict) -> int:
+    """Coefficient of lam^exps in the flag polynomial below a face.
+
+    support[k] lists the (body, coefficient) pairs of form k that are not 0;
+    exps sums to the dimension of the face.
+    """
+    if not edges[face]:
+        return 1
+    key = face, exps
+    total = memo.get(key)
+    if total is None:
+        total = 0
+        for sub, k in edges[face]:
+            for b, a in support[k]:
+                if exps[b]:
+                    rest = exps[:b] + (exps[b] - 1,) + exps[b + 1 :]
+                    total += a * _flag_coefficient(sub, rest, edges, support, memo)
+        memo[key] = total
+    return total
+
+
+def _expand_flags(face: int, verts: tuple[int, ...], ids: tuple[int, ...], pulled, edges, simplices, heights):
+    """Append each flag below a face: its vertices, and its forms to heights."""
+    verts += (pulled[face],)
+    if not edges[face]:
+        simplices.append(verts)
+        heights.append(ids)
+        return
+    for sub, k in edges[face]:
+        _expand_flags(sub, verts, ids + (k,), pulled, edges, simplices, heights)
 
 
 def _pulled_sum(bodies: list[Polytope], n: int) -> _PulledSum | None:
@@ -297,89 +338,111 @@ def _pulled_sum(bodies: list[Polytope], n: int) -> _PulledSum | None:
     if data is None:
         return None
     facets = data.facets()
-    vids = sorted(set().union(*(verts for _, _, verts in facets)))
-    local = {v: k for k, v in enumerate(vids)}
-    every = list(cands.values())
-    labels = [every[v] for v in vids]
-    masks = [sum(1 << local[v] for v in verts) for _, _, verts in facets]
-    corners = [data.points[v] for v in vids]
     fan_total = sum(data.fan_dets())
     # The facet complex is the largest object here; free it before the pull.
     del data
-    pulled: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    _pull((1 << len(vids)) - 1, (), (), masks, {}, pulled)
-    forms: list[tuple[int, ...]] = []
-    form_ids: dict[tuple[int, int], int] = {}
-    simplices, heights, consts = [], [], []
-    volume_dets = 0
-    for verts, gs in pulled:
-        ids = []
-        for g, v in zip(gs, verts):
-            k = form_ids.get((g, v))
-            if k is None:
-                # h = ν·(w − v) body by body, w any vertex of the facet.
-                nu = facets[g][0]
-                w = labels[(masks[g] & -masks[g]).bit_length() - 1]
-                forms.append(
-                    tuple(
-                        sum(map(mul, nu, pts[a])) - sum(map(mul, nu, pts[b]))
-                        for pts, a, b in zip(points, w, labels[v])
-                    )
-                )
-                k = form_ids[g, v] = len(forms) - 1
-            ids.append(k)
-        num = abs(simplex_det(corners, verts))
-        volume_dets += num
-        den = 1
-        for k in ids:
-            den *= sum(forms[k])
-        common = gcd(num, den)
-        simplices.append(verts)
-        heights.append(tuple(ids))
-        consts.append((num // common, den // common))
-    if volume_dets != fan_total:
+    vids = bit_indices(reduce(or_, (mask for _, _, mask in facets)))
+    local = {v: k for k, v in enumerate(vids)}
+    every = list(cands.values())
+    labels = [every[v] for v in vids]
+    normals = [nu for nu, _, _ in facets]
+    masks = [sum(1 << local[v] for v in bit_indices(mask)) for _, _, mask in facets]
+    pulled = _PulledSum(points, scale, labels, *_face_dag(normals, masks, points, labels))
+    if pulled.flag_sum((1,) * len(bodies)) != fan_total:
         raise ArithmeticError("pulled simplices do not tile the hull's volume")
-    return _PulledSum(points, scale, labels, simplices, heights, consts, forms)
+    return pulled
 
 
-def _pull(face: int, verts: tuple[int, ...], cuts: tuple[int, ...], facets: list[int], memo: dict, out: list):
-    """Append the simplices of a pulling triangulation of a face to out.
+def _face_dag(normals, masks, points, labels):
+    """The faces a pull of the hull reaches, as (pulled, edges, forms) of `_PulledSum`.
 
-    A face is the bit mask of its vertex ids and `facets` lists the hull's
-    facets likewise.  The smallest vertex v of the face is coned over the
-    pulled triangulations of the face's facets that miss v.  Each simplex is
-    appended as (vertices, cuts) after the flag so far: vertices[k] was
-    pulled in the k-th face of its flag, and hull facet cuts[k] cuts the next
-    face out of it.  memo maps a face to its facets that miss v.
+    Hull facet g has normal normals[g] and vertex bit mask masks[g].  A face
+    is set up once, when it is first reached, with its facets, each cut out
+    by a hull facet, and a basis of Λ_F: the whole hull has the hull facets
+    and the unit vectors, and a facet of a face F gets both from F
+    (`_facets_of_facet`, `_lattice_step`).
     """
-    v = (face & -face).bit_length() - 1
-    verts += (v,)
-    if face == 1 << v:
-        out.append((verts, cuts))
-        return
-    subs = memo.get(face)
-    if subs is None:
-        subs = memo[face] = _facets_of_face(face, v, facets)
-    for sub, g in subs:
-        _pull(sub, verts, cuts + (g,), facets, memo, out)
+    n = len(normals[0])
+    root = (1 << len(labels)) - 1
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    faces: list = [(root, list(zip(masks, range(len(masks)))), unit)]
+    index = {root: 0}
+    pulled: list[int] = []
+    edges: list[tuple[tuple[int, int], ...]] = []
+    forms: dict[tuple[int, ...], int] = {}  # few distinct forms recur on many edges
+    for i, (face, subs, basis) in enumerate(faces):
+        faces[i] = None  # done with its facets and basis
+        v = (face & -face).bit_length() - 1
+        out = []
+        for sub, g in subs:
+            if sub >> v & 1:
+                continue
+            nu = normals[g]
+            values = [sum(map(mul, nu, b)) for b in basis]
+            j = index.get(sub)
+            if j is None:
+                j = index[sub] = len(faces)
+                step, kernel = _lattice_step(values, basis)
+                faces.append((sub, _facets_of_facet(sub, subs), kernel))
+            else:
+                step = gcd(*values)
+            # The height ν·(w − v) body by body, w any vertex of sub.
+            w = labels[(sub & -sub).bit_length() - 1]
+            form = tuple(
+                (sum(map(mul, nu, pts[a])) - sum(map(mul, nu, pts[b]))) // step
+                for pts, a, b in zip(points, w, labels[v])
+            )
+            out.append((j, forms.setdefault(form, len(forms))))
+        pulled.append(v)
+        edges.append(tuple(out))
+    return pulled, edges, list(forms)
 
 
-def _facets_of_face(face: int, v: int, facets: list[int]) -> list[tuple[int, int]]:
-    """The facets of a face that miss vertex v, each with a hull facet cutting it out.
+def _facets_of_facet(sub: int, facets: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The facets of sub, a facet of a face F, from the facets of F.
 
-    The facets of a face F are the inclusion-maximal sets F ∩ G over hull
-    facets G not holding F.
+    Every face of F two dimensions down lies in exactly two facets of F (the
+    diamond property), so the facets of sub are the inclusion-maximal
+    nonempty sub ∩ F'' over the other facets F'' of F, and the hull facet
+    that cuts F'' out of F cuts sub ∩ F'' out of sub.
     """
     cuts: dict[int, int] = {}
-    for g, verts in enumerate(facets):
-        sub = face & verts
-        if sub and sub != face:
-            cuts.setdefault(sub, g)
+    for other, g in facets:
+        meet = sub & other
+        if meet and meet != sub:
+            cuts.setdefault(meet, g)
     maximal: list[int] = []
-    for sub in sorted(cuts, key=int.bit_count, reverse=True):
-        if all(sub & other != sub for other in maximal):
-            maximal.append(sub)
-    return [(sub, cuts[sub]) for sub in maximal if not sub >> v & 1]
+    for meet in sorted(cuts, key=int.bit_count, reverse=True):
+        for m in maximal:
+            if meet & m == meet:
+                break
+        else:
+            maximal.append(meet)
+    return [(meet, cuts[meet]) for meet in maximal]
+
+
+def _lattice_step(values: list[int], basis: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The gcd g of a linear map's values on a lattice basis, and a basis of its kernel.
+
+    Euclid's algorithm runs on the values and applies each step to the basis
+    vectors, so they stay a basis of the lattice; it ends with one vector of
+    value ±g and the others of value 0.
+    """
+    kernel = [b for a, b in zip(values, basis) if not a]
+    live = [(a, b) for a, b in zip(values, basis) if a]
+    while len(live) > 1:
+        live.sort(key=lambda pair: abs(pair[0]))
+        a0, b0 = live[0]
+        rest = [live[0]]
+        for a, b in live[1:]:
+            q, r = divmod(a, a0)
+            b = tuple(x - q * y for x, y in zip(b, b0))
+            if r:
+                rest.append((r, b))
+            else:
+                kernel.append(b)
+        live = rest
+    return abs(live[0][0]), kernel
 
 
 @dataclass(frozen=True)

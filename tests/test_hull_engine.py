@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, gcd
 from operator import mul
 
@@ -11,7 +11,7 @@ import pytest
 
 from valgebra.geometry import hull
 from valgebra.hull import hull_data_int, hull2d_extreme, volume_of_points
-from valgebra.intlinalg import hyperplane_through, simplex_det
+from valgebra.intlinalg import hyperplane_through, independent_rows, simplex_det
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 
@@ -129,6 +129,37 @@ def test_points_on_the_boundary_are_not_inserted():
     assert 8 not in data.boundary_vertex_indices()
     assert data.vertex_indices() == list(range(8))
     assert data.volume() == 8
+
+
+def rank_test_vertices(data):
+    """Boundary points whose incident facet normals have rank n: the vertex
+    test that the meet of facet masks replaced, kept as its oracle."""
+    incident = {}
+    for verts, nu in zip(data.facet_vertices, data.normals):
+        for i in verts:
+            incident.setdefault(i, set()).add(nu)
+    n = data.dim
+    return sorted(i for i, normals in incident.items() if len(normals) >= n and len(independent_rows(normals, n)[0]) == n)
+
+
+def test_vertex_meet_matches_rank_test():
+    # Sums of 0/1 points put boundary points inside edges and facets of the
+    # hull: when a and b both hold 0 and e_1, e_1 + 0 halves the edge from
+    # 0 + 0 to e_1 + e_1.
+    rng = random.Random(31337)
+    with_non_vertices = set()
+    for n in (3, 4, 5, 6):
+        cube = list(product((0, 1), repeat=n))
+        for _ in range(6):
+            a, b = rng.sample(cube, n + 2), rng.sample(cube, 3)
+            data = hull_data_int(list(dict.fromkeys(tuple(map(sum, zip(p, q))) for p in a for q in b)), n)
+            if data is None:
+                continue
+            vertices = data.vertex_indices()
+            assert vertices == rank_test_vertices(data)
+            if len(vertices) < len(data.boundary_vertex_indices()):
+                with_non_vertices.add(n)
+    assert with_non_vertices == {3, 4, 5, 6}
 
 
 def boundary_complex_cases():

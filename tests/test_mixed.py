@@ -1,8 +1,11 @@
+import gc
 import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, pi
+from operator import or_
 
 import pytest
 
@@ -237,6 +240,10 @@ def one_hull_cases(rng):
     zero = (F(0), F(0))
     blocks = [hull([v + zero for v in K2.vertices], 4), hull([zero + v for v in K2.vertices], 4)]
     cases.append((diagonal_embed(K2), blocks, 4))
+    # Faces whose vertices span a proper sublattice of their own: the bottom
+    # triangle's edges (1,1,0) and (1,-1,0) span half of its lattice, and its
+    # edge at x = 1 holds the lattice point (1,0,0).
+    cases.append((hull([(0, 0, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)], 3), [segment(3, 2)], 3))
     return cases
 
 
@@ -383,14 +390,57 @@ class TestPulledMixedVolume:
                 continue
             grid = [tuple(rng.choice((0, 0, 2, 3, 5)) for _ in bodies) for _ in range(4)]
             for lams in grid + [(0,) * (len(bodies) - 1) + (1,)]:
-                heights = [sum(a * lam for a, lam in zip(form, lams)) for form in pulled.forms]
-                total = F(0)
-                for ids, (num, den) in zip(pulled.heights, pulled.consts):
-                    for k in ids:
-                        num *= heights[k]
-                    total += F(num, den)
                 vol = _combo_measure([(body, F(lam)) for body, lam in zip(bodies, lams)], n, None)
-                assert total == factorial(n) * pulled.scale**n * vol
+                assert pulled.flag_sum(lams) == factorial(n) * pulled.scale**n * vol
+
+    def test_no_cyclic_garbage(self, rng):
+        cases = pulled_mv_cases(rng)
+        gc.collect()
+        gc.disable()
+        try:
+            for groups, n in cases:
+                mixed_volume_grouped(groups, n)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def rescan_facets(face, hull_masks):
+    """The facets of a face from a scan of every hull facet: the
+    inclusion-maximal face ∩ G over hull facets G not holding the face."""
+    meets = {face & mask for mask in hull_masks} - {0, face}
+    return {meet for meet in meets if not any(meet & other == meet != other for other in meets)}
+
+
+class TestFaceLattice:
+    """A face reached in the pull takes its facets from its parent (the diamond property)."""
+
+    def test_facets_from_parent_match_rescan(self, rng):
+        from valgebra.hull import hull_data_int
+        from valgebra.mixed import _combo_candidates, _facets_of_facet
+
+        sums = [[body for body, _ in groups] for groups, n in pulled_mv_cases(rng)]
+        sums += [[base] + slack for base, slack, _ in one_hull_cases(rng)]
+        faces = 0
+        for bodies in sums:
+            n = bodies[0].dim
+            cands, scale = _combo_candidates([(body, F(1)) for body in bodies])
+            data = hull_data_int(cands, n, scale)
+            if data is None:
+                continue
+            hull_masks = [mask for _, _, mask in data.facets()]
+            todo = {reduce(or_, hull_masks): list(zip(hull_masks, range(len(hull_masks))))}
+            seen = set()
+            while todo:
+                face, facets = todo.popitem()
+                assert {sub for sub, _ in facets} == rescan_facets(face, hull_masks)
+                for sub, g in facets:
+                    assert face & hull_masks[g] == sub
+                    if sub not in seen:
+                        seen.add(sub)
+                        todo[sub] = _facets_of_facet(sub, facets)
+            faces += len(seen)
+        assert faces > 5000
 
 
 class TestSteiner:
