@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import acceptance
 from . import filtration as filt
@@ -246,7 +247,9 @@ def _cmd_verify(args):
     return {"passed": ok, "criteria": results}
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed recorded in reports")
     common.add_argument("--level", type=int, default=3, help="ball approximation level")
@@ -282,8 +285,11 @@ def main(argv=None) -> int:
     p = add("lefschetz", _cmd_lefschetz, needs_input=False)
     p.add_argument("--h", dest="profile", required=True, help="comma-separated dimensions")
     add("verify", _cmd_verify, needs_input=False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     started = time.time()
     try:
         results = args.fn(args)

@@ -16,9 +16,9 @@ tested only against the facets that the insertion creates; a point beyond
 none of them lies in the new hull and is dropped.
 
 Each facet also keeps an integer multiplier k: the cofactor normal of its
-vertices (the normal `hyperplane_through` returns) is ±k·ν.  The cone over a
-facet from an apex then has |det| = k·(c − ν·apex), so fan volumes need no
-determinant.
+vertices, whose entries are the n×n minors of their edge vectors, is ±k·ν.
+The cone over a facet from an apex then has |det| = k·(c − ν·apex), so fan
+volumes need no determinant.
 
 Degenerate inputs (affine dimension below the ambient one) are reported as
 such; callers decide how to project.
@@ -33,7 +33,7 @@ from itertools import count
 from math import factorial, gcd
 from operator import mul, or_
 
-from .intlinalg import hyperplane_through, independent_rows, scale_to_ints
+from .intlinalg import adjugate, independent_rows, scale_to_ints
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -164,20 +164,6 @@ class _Incremental:
         self.facets[fid] = (verts, nu, c, k, [None] * self.n, [])
         return fid
 
-    def _add_facet(self, verts: tuple[int, ...]) -> int:
-        nu, c = hyperplane_through(self.pts, verts)
-        if all(x == 0 for x in nu):
-            raise ArithmeticError("degenerate facet candidate")
-        t = sum(a * b for a, b in zip(nu, self.ref)) - (self.n + 1) * c
-        if t > 0:
-            nu = tuple(-x for x in nu)
-            c = -c
-        elif t == 0:
-            raise ArithmeticError("orientation reference lies on a facet")
-        # The cofactor normal is g times the reduced one.
-        g = gcd(*nu, c)
-        return self._new_facet(verts, tuple(x // g for x in nu), c // g, g)
-
     def _glue(self, fids: list[int]):
         """Link the facets fids across the ridges they share with each other.
 
@@ -221,7 +207,17 @@ class _Incremental:
             return None
         base = [0] + [i + 1 for i in kept]
         self.ref = tuple(sum(self.pts[i][j] for i in base) for j in range(n))
-        initial = [self._add_facet(tuple(sorted(base[:k] + base[k + 1 :]))) for k in range(n + 1)]
+        # Column k of the adjugate of the rows (1, p_b) is an affine form
+        # (a, ν) that vanishes on every base vertex but base[k], where it
+        # takes the value det: the cofactor hyperplane of the facet opposite
+        # base[k], pointing inward when det > 0.
+        det, adj = adjugate([(1, *self.pts[i]) for i in base])
+        s = -1 if det > 0 else 1
+        initial = []
+        for k, (a, *nu) in enumerate(zip(*adj)):
+            g = gcd(a, *nu)
+            verts = tuple(sorted(base[:k] + base[k + 1 :]))
+            initial.append(self._new_facet(verts, tuple(s * x // g for x in nu), -s * a // g, g))
         self._glue(initial)
         rest = [i for i in range(len(self.pts)) if i not in base]
         # Far points first; a point whose conflict facet is gone lies in the

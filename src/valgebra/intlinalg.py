@@ -1,8 +1,8 @@
 """Exact linear algebra: the determinant, the square solve and the echelon.
 
 Determinants work on plain Python ints (arbitrary precision); rational input
-is first brought to ints by one common denominator.  `bareiss_det` and
-`independent_rows` hold the package's only pivot searches.
+is first brought to ints by one common denominator.  `bareiss_det`,
+`adjugate` and `independent_rows` hold the package's only pivot searches.
 """
 
 from __future__ import annotations
@@ -103,22 +103,33 @@ def independent_rows(rows, limit: int | None = None) -> tuple[list[int], list[in
     return chosen, pivots
 
 
-def hyperplane_through(points: list[tuple[int, ...]], idxs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Integer normal and offset of the hyperplane through n points in dim n.
+def adjugate(rows) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a nonsingular square integer matrix.
 
-    Returns (normal, c) with normal . x == c on the hyperplane.  The normal is
-    the zero vector when the points are affinely dependent.
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | I]: every
+    division by the previous pivot is exact (Sylvester's identity), and the
+    elimination ends at [d I | d M^-1] with d = ±det M, the sign of the row
+    swaps.  Raises ArithmeticError when M is singular.
     """
-    base = points[idxs[0]]
-    n = len(base)
-    edges = [[points[i][j] - base[j] for j in range(n)] for i in idxs[1:]]
-    normal = []
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in edges]
-        d = bareiss_det(minor)
-        normal.append(-d if j % 2 else d)
-    c = sum(normal[j] * base[j] for j in range(n))
-    return tuple(normal), c
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                raise ArithmeticError("singular matrix")
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k = m[k]
+        pivot = row_k[k]
+        for i, row_i in enumerate(m):
+            if i != k:
+                mik = row_i[k]
+                m[i] = [(pivot * x - mik * y) // prev for x, y in zip(row_i, row_k)]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def simplex_det(points: list[tuple[int, ...]], idxs: tuple[int, ...]) -> int:

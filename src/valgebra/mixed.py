@@ -1,18 +1,16 @@
 """Mixed volumes, Minkowski polynomials and Steiner data.
 
-For lambda > 0, sum_j lambda_j A_j keeps one face lattice, and the vertex
-of each normal cone is the sum of one vertex of each body.  One pulling
-triangulation of sum_j A_j therefore serves every lambda in the closed
-orthant: each simplex's determinant is the product of the lattice heights
-along its flag of faces, integer forms linear in lambda (`_PulledSum`).
-The pull walks the face lattice once and takes no determinant.  A mixed
-volume V(A_1[m_1], ...) is one coefficient of the summed products, read
-off one hull by one memoised sum over the faces.
+A mixed volume V(A_1[m_1], ..., A_k[m_k]) is read off one triangulation of
+the Cayley polytope of the bodies, conv(∪_i A_i × {e_i}): its simplices
+with m_i + 1 vertices in body i are the mixed cells of sum_i lam_i A_i
+(`mixed_volume_grouped`).
 Minkowski polynomials (volume or a polynomial density integrated over
 `K + sum lambda_j A_j`) are recovered exactly by interpolation on integer
 grids sized by per-body degree bounds.  A volume takes one hull per grid
-point; an integral takes the one pulled hull of K + sum A_j, placed at each
-grid point.
+point.  An integral takes one pulled hull of K + sum A_j: for lambda > 0 the
+sum keeps one face lattice, so one pulling triangulation, whose simplex
+determinants are products of lattice heights linear in lambda, is placed at
+each grid point (`_PulledSum`).
 """
 
 from __future__ import annotations
@@ -91,14 +89,17 @@ def _combo_measure(parts: list[tuple[Polytope, Fraction]], n: int, density: Poly
 
 
 def mixed_volume_grouped(groups: list[tuple[Polytope, int]], n: int) -> Fraction:
-    """V(body_1[m_1], ..., body_g[m_g]) with sum of multiplicities n.
+    """V(body_1[m_1], ..., body_k[m_k]) with sum of multiplicities n.
 
-    vol(sum_g lam_g body_g) = sum_m n!/prod_g m_g! V(body[m]) lam^m, and one
-    pulled triangulation of sum_g body_g gives n! scale^n times that volume
-    as sum_σ prod_k φ_k(lam), a product of lattice heights per simplex, on
-    the whole closed orthant (`_PulledSum`).  The mixed volume is its
-    coefficient at lam^m, one memoised sum over the pulled face lattice:
-    one hull per call, and 0 when the sum is not full-dimensional.
+    The Cayley trick (Sturmfels 1994; Huber, Rambau & Santos 2000): a
+    triangulation of the Cayley polytope C = conv(∪_i body_i × {e_i}) in
+    dimension n + k − 1, with e_1 = 0 and e_2, ..., e_k the unit vectors,
+    induces a mixed subdivision of sum_i lam_i body_i for every lam > 0.  A
+    simplex σ with a_i vertices in body i gives a cell of volume
+    prod_i lam_i^(a_i − 1) |det σ| / prod_i (a_i − 1)!, so V is the sum of
+    |det σ| / n! over the simplices with m_i + 1 vertices in body i.  One hull
+    of C per call, whose fan triangulation is summed; 0 when the sum of the
+    bodies is not full-dimensional, for then C is flat.
     """
     total_mult = sum(m for _, m in groups)
     if total_mult != n:
@@ -107,12 +108,26 @@ def mixed_volume_grouped(groups: list[tuple[Polytope, int]], n: int) -> Fraction
         if body.dim != n:
             raise ValueError("mixed volume bodies must live in the ambient dimension")
     groups = [(body, m) for body, m in groups if m]
-    pulled = _pulled_sum([body for body, _ in groups], n)
-    if pulled is None:
+    k = len(groups)
+    scaled = [scale_to_ints(body.vertices) for body, _ in groups]
+    scale = lcm(*(den for _, den in scaled))
+    tails = [tuple(scale * (j == i - 1) for j in range(k - 1)) for i in range(k)]
+    points = [tuple(x * (scale // den) for x in p) + tail for (pts, den), tail in zip(scaled, tails) for p in pts]
+    data = hull_data_int(points, n + k - 1, scale)
+    if data is None:
         return Fraction(0)
-    mults = tuple(m for _, m in groups)
-    weight = prod(factorial(m) for m in mults)
-    return Fraction(pulled.coefficient(mults) * weight, factorial(n) ** 2 * pulled.scale**n)
+    # A simplex's vertex counts per body, as the digits of one number in base
+    # n + k + 1 (no count exceeds the n + k vertices).  The hull drops
+    # repeated points, so each point's body is read off its tail.
+    body = {tail: i for i, tail in enumerate(tails)}
+    weight = [(n + k + 1) ** body[p[n:]] for p in data.points]
+    wanted = sum((m + 1) * (n + k + 1) ** i for i, (_, m) in enumerate(groups))
+    total = sum(
+        det
+        for simplex, det in zip(data.fan_triangulation(), data.fan_dets())
+        if sum(weight[v] for v in simplex) == wanted
+    )
+    return Fraction(total, factorial(n) * scale ** (n + k - 1))
 
 
 def mixed_volume(bodies) -> Fraction:
@@ -199,7 +214,8 @@ def _grouped_sum_polynomial(
 
 @dataclass(frozen=True)
 class _PulledSum:
-    """A pulled triangulation of sum_b lam_b body_b for every lam >= 0.
+    """A pulled triangulation of sum_b lam_b body_b for every lam >= 0, for
+    the density route.
 
     For lam > 0 the sum has one normal fan, so one face lattice, and the
     vertex of each normal cone is the sum of one vertex of each body (its
@@ -215,9 +231,9 @@ class _PulledSum:
     simplex pulled along the flag F_0 ⊃ ... ⊃ F_n is a lattice pyramid over
     each step, so |det| = prod_k φ_k(lam) with no constant, as a polynomial
     on the closed orthant: simplices that flatten at a zero of lam get det 0.
-    `coefficient` and `flag_sum` walk the DAG once, memoised per face;
     `place`, `dets` and `integral` fix lam_0 = 1, take the other weights and
-    use the simplices expanded from the DAG.
+    use the simplices expanded from the DAG; `flag_sum` walks the DAG once,
+    memoised per face, and certifies that the simplices tile the hull.
 
     `points[b]` are the integer vertices of body b over the common
     denominator `scale`, and `labels[v]` holds one vertex index per body.
@@ -263,11 +279,6 @@ class _PulledSum:
         h = [sum(map(mul, form, weights)) for form in self.forms]
         return _flag_sum(0, h, self.edges, {})
 
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        """Coefficient of lam^exps in sum_σ prod_k φ_k(lam), one lam per body."""
-        support = [[(b, a) for b, a in enumerate(form) if a] for form in self.forms]
-        return _flag_coefficient(0, exps, self.edges, support, {})
-
     def integral(self, lams, f: Polynomial) -> Fraction:
         """Integral of f over body_0 + sum_g lam_g body_g."""
         dets = self.dets(lams)
@@ -284,27 +295,6 @@ def _flag_sum(face: int, h: list[int], edges, memo: dict[int, int]) -> int:
     total = memo.get(face)
     if total is None:
         total = memo[face] = sum(h[k] * _flag_sum(sub, h, edges, memo) for sub, k in edges[face])
-    return total
-
-
-def _flag_coefficient(face: int, exps: tuple[int, ...], edges, support, memo: dict) -> int:
-    """Coefficient of lam^exps in the flag polynomial below a face.
-
-    support[k] lists the (body, coefficient) pairs of form k that are not 0;
-    exps sums to the dimension of the face.
-    """
-    if not edges[face]:
-        return 1
-    key = face, exps
-    total = memo.get(key)
-    if total is None:
-        total = 0
-        for sub, k in edges[face]:
-            for b, a in support[k]:
-                if exps[b]:
-                    rest = exps[:b] + (exps[b] - 1,) + exps[b + 1 :]
-                    total += a * _flag_coefficient(sub, rest, edges, support, memo)
-        memo[key] = total
     return total
 
 

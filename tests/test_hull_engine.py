@@ -11,7 +11,7 @@ import pytest
 
 from valgebra.geometry import hull
 from valgebra.hull import hull_data_int, hull2d_extreme, volume_of_points
-from valgebra.intlinalg import hyperplane_through, independent_rows, simplex_det
+from valgebra.intlinalg import bareiss_det, independent_rows, simplex_det
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 
@@ -228,6 +228,40 @@ def small_hull_cases():
             yield simplex + on, n
     big = 10**40
     yield [(0, 0, 0), (big, 0, 0), (0, big, 0), (0, 0, big), (big, big, big)], 3
+
+
+def hyperplane_through(points, idxs):
+    """Integer normal and offset of the hyperplane through n points in dim n,
+    normal·x == c on it: the cofactor normal, whose entries are the n×n minors
+    of the edge vectors.  The normal is 0 when the points are affinely
+    dependent."""
+    base = points[idxs[0]]
+    n = len(base)
+    edges = [[points[i][j] - base[j] for j in range(n)] for i in idxs[1:]]
+    normal = tuple((-1) ** j * bareiss_det([row[:j] + row[j + 1 :] for row in edges]) for j in range(n))
+    return normal, sum(map(mul, normal, base))
+
+
+def test_initial_facets_are_cofactor_hyperplanes():
+    # A simplex's hull is its initial simplex: each facet is the reduced,
+    # outward cofactor hyperplane of its vertices, with the gcd as multiplier.
+    rng = random.Random(8080)
+    for n in range(3, 9):
+        done = 0
+        while done < 6:
+            pts = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n + 1)]
+            data = hull_data_int(pts, n)
+            if data is None:
+                continue
+            done += 1
+            assert len(data.facet_vertices) == n + 1
+            for verts, nu, c, k in zip(data.facet_vertices, data.normals, data.offsets, data.multipliers):
+                cof, off = hyperplane_through(pts, verts)
+                (apex,) = set(range(n + 1)) - set(verts)
+                if sum(map(mul, cof, pts[apex])) > off:
+                    cof, off = tuple(-x for x in cof), -off
+                g = gcd(*cof, off)
+                assert (nu, c, k) == (tuple(x // g for x in cof), off // g, g)
 
 
 def reduced(nu, c):

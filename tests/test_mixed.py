@@ -287,6 +287,19 @@ class TestOneHullRoute:
                 pts = pulled.place(lams)
                 assert pulled.dets(lams) == [abs(simplex_det(pts, s)) for s in pulled.simplices]
 
+    def test_homogeneous_flag_identity(self, rng):
+        from valgebra.mixed import _pulled_sum
+
+        for groups, n in mv_cases(rng)[:-1]:
+            bodies = [body for body, _ in groups]
+            pulled = _pulled_sum(bodies, n)
+            if pulled is None:
+                continue
+            grid = [tuple(rng.choice((0, 0, 2, 3, 5)) for _ in bodies) for _ in range(4)]
+            for lams in grid + [(0,) * (len(bodies) - 1) + (1,)]:
+                vol = _combo_measure([(body, F(lam)) for body, lam in zip(bodies, lams)], n, None)
+                assert pulled.flag_sum(lams) == factorial(n) * pulled.scale**n * vol
+
     def test_density_coefficient_builds_one_hull(self, monkeypatch):
         from valgebra.mixed import mixed_derivative_coefficient
 
@@ -321,7 +334,7 @@ def paraboloid_tetrahedron(rng):
             return P
 
 
-def pulled_mv_cases(rng):
+def mv_cases(rng):
     """(groups, n) in 1-D to 6-D with flat bodies, points, rational
     coordinates and repeated groups; the last case has a flat total sum."""
     cases = []
@@ -355,17 +368,17 @@ def pulled_mv_cases(rng):
     return cases
 
 
-class TestPulledMixedVolume:
-    """mixed_volume_grouped reads V off one pulled hull of the sum of the bodies."""
+class TestCayleyMixedVolume:
+    """mixed_volume_grouped reads V off one hull of the Cayley polytope of the bodies."""
 
     def test_matches_inclusion_exclusion(self, rng):
-        cases = pulled_mv_cases(rng)
+        cases = mv_cases(rng)
         values = [mixed_volume_grouped(groups, n) for groups, n in cases]
         assert values == [inclusion_exclusion_mv(groups, n) for groups, n in cases]
         assert values[-1] == 0 and values[-2] > 0 and values[-3] > 0
 
     def test_one_hull_per_call(self, rng, monkeypatch):
-        cases = pulled_mv_cases(rng)
+        cases = mv_cases(rng)
         module = sys.modules["valgebra.mixed"]
         built = []
         original = module.hull_data_int
@@ -378,23 +391,11 @@ class TestPulledMixedVolume:
         for groups, n in cases:
             built.clear()
             mixed_volume_grouped(groups, n)
-            assert built == [n]
-
-    def test_homogeneous_flag_identity(self, rng):
-        from valgebra.mixed import _pulled_sum
-
-        for groups, n in pulled_mv_cases(rng)[:-1]:
-            bodies = [body for body, _ in groups]
-            pulled = _pulled_sum(bodies, n)
-            if pulled is None:
-                continue
-            grid = [tuple(rng.choice((0, 0, 2, 3, 5)) for _ in bodies) for _ in range(4)]
-            for lams in grid + [(0,) * (len(bodies) - 1) + (1,)]:
-                vol = _combo_measure([(body, F(lam)) for body, lam in zip(bodies, lams)], n, None)
-                assert pulled.flag_sum(lams) == factorial(n) * pulled.scale**n * vol
+            k = sum(1 for _, m in groups if m)
+            assert built == [n + k - 1]
 
     def test_no_cyclic_garbage(self, rng):
-        cases = pulled_mv_cases(rng)
+        cases = mv_cases(rng)
         gc.collect()
         gc.disable()
         try:
@@ -419,7 +420,7 @@ class TestFaceLattice:
         from valgebra.hull import hull_data_int
         from valgebra.mixed import _combo_candidates, _facets_of_facet
 
-        sums = [[body for body, _ in groups] for groups, n in pulled_mv_cases(rng)]
+        sums = [[body for body, _ in groups] for groups, n in mv_cases(rng)]
         sums += [[base] + slack for base, slack, _ in one_hull_cases(rng)]
         faces = 0
         for bodies in sums:

@@ -140,6 +140,15 @@ class TestDiagonalRoute:
         K = rand_poly(rng)
         assert diagonal_product_evaluate(vol_valuation(2), vol_valuation(2), K) == 0
 
+    def test_matches_closed_form_in_4d(self, rng):
+        # Internal dimension 8, above the default guard.
+        A, B, K = (rand_poly(rng, 4, 6) for _ in range(3))
+        for i in (1, 2, 3):
+            phi, psi = MVGenerator(4, i, (A,) * (4 - i)), MVGenerator(4, 4 - i, (B,) * i)
+            value = closed_form_product(phi, psi).evaluate(K)
+            assert value != 0
+            assert value == diagonal_product_evaluate(phi, psi, K, max_internal_dim=8)
+
     def test_cost_guard(self):
         g = MVGenerator(4, 3, (unit_cube(4),))
         with pytest.raises(CostGuardError):
